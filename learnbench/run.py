@@ -12,6 +12,13 @@ returned program is re-scored by checker.py, which shares no code with
 ``mdlsynth.evaluate``, and a call that returns more than DEADLINE_SLACK
 past its timeout counts as failed.
 
+Times are reported at a fixed host speed.  A shared virtual machine can
+run the same work up to twice as fast or as slowly from one second to the
+next, so each learn process samples the host's speed while it works and
+scales its own times to the reference speed (learn_once.HostSampler);
+waiting out a timeout is not scaled, unless the call missed it.  The wall
+times stay in the raw records.
+
 With ``--trace 0`` the run reports the end-to-end metrics, medians over
 its calls.  With ``--trace 1`` each round makes one untraced and one
 traced call, and the run reports the per-layer metrics of the traced
@@ -84,6 +91,24 @@ def child(workload: str, hash_seed: int, deadline: float, *flags) -> dict:
     return record
 
 
+def learn_scale(record: dict) -> float:
+    """Seconds of learn work at the reference speed per wall second."""
+    return record["scaled"]["learn_work_s"] / record["learn_s"]
+
+
+def scaled_learn_s(record: dict, w) -> float:
+    """learn_s at the reference speed.
+
+    A call that stops at its timeout takes the timeout, which no host
+    speed changes, plus its overrun scaled.  A call that misses its
+    deadline was not bounded by the timeout, so it takes its whole work
+    scaled: a faster host does more of it before the deadline."""
+    if record["timed_out"] and not missed_deadline(record, w):
+        overrun = record["learn_s"] - w.timeout
+        return w.timeout + overrun * learn_scale(record)
+    return record["scaled"]["learn_work_s"]
+
+
 # ---------------------------------------------------------------------------
 # Checking
 # ---------------------------------------------------------------------------
@@ -153,12 +178,15 @@ def missed_deadline(record: dict, w) -> bool:
 # Metrics
 # ---------------------------------------------------------------------------
 
-def end_to_end(records: list, setups: list) -> dict:
-    med = lambda key: statistics.median(r[key] for r in records)
-    values = {"setup_s": statistics.median(setups)}
-    for key in ("learn_s", "best_found_s", "train_cost", "test_acc",
-                "peak_rss_mb"):
-        values[key] = med(key)
+def end_to_end(records: list, setups: list, w) -> dict:
+    med = lambda f: statistics.median(f(r) for r in records)
+    values = {
+        "setup_s": statistics.median(setups),
+        "learn_s": med(lambda r: scaled_learn_s(r, w)),
+        "best_found_s": med(lambda r: r["scaled"]["best_found_s"]),
+    }
+    for key in ("train_cost", "test_acc", "peak_rss_mb"):
+        values[key] = med(lambda r: r[key])
     return {k: {"value": v, "unit": END_TO_END_UNITS[k]}
             for k, v in values.items()}
 
@@ -168,16 +196,27 @@ def _ratio(a, b):
 
 
 def layer_metrics(record: dict, w) -> dict:
-    """Per-layer values of one traced learn call, with their units."""
+    """Per-layer values of one traced learn call, with their units.
+
+    Times are scaled to the reference speed by the scale of the whole
+    learn call, which also takes out the share of the host samples."""
     layers = record["layers"]
-    get = lambda name, field: layers.get(name, {}).get(field, 0)
+    scale = learn_scale(record)
+
+    def get(name, field):
+        value = layers.get(name, {}).get(field, 0)
+        return value * scale if field.endswith("_s") else value
+
+    learn_s = scaled_learn_s(record, w)
     pool_s = get("generate.enumerate_rules", "total_s")
     pool_rules = get("generate.enumerate_rules", "items")
     outside_pool_s = get("generate.next_program", "total_s") - pool_s
     test_s = get("evaluate.test", "total_s")
     test_calls = get("evaluate.test", "calls")
     return {
-        "tasks.generate_task_s": (record["generate_task_s"], "s"),
+        "tasks.generate_task_s": (record["generate_task_s"]
+                                  * record["scaled"]["setup_s"]
+                                  / record["setup_s"], "s"),
         "generate.pool_build_s": (pool_s, "s"),
         "generate.pool_rules": (pool_rules, "count"),
         "generate.pool_rules_per_s": (_ratio(pool_rules, pool_s), "1/s"),
@@ -209,9 +248,10 @@ def layer_metrics(record: dict, w) -> dict:
         "search.self_s": (get("learn", "self_s"), "s"),
         "search.programs_tested": (record["programs_tested"], "count"),
         "search.deadline_overrun_s": (
-            max(0.0, record["learn_s"] - w.timeout) if record["timed_out"]
-            else 0.0, "s"),
-        "trace.learn_s": (record["learn_s"], "s"),
+            max(0.0, learn_s - w.timeout) if record["timed_out"] else 0.0, "s"),
+        "trace.learn_s": (learn_s, "s"),
+        "host.speed": (record["host_speed"], "ratio"),
+        "host.learn_wall_s": (record["learn_s"], "s"),
     }
 
 
@@ -222,7 +262,7 @@ def per_layer(traced: list, untraced: list, w) -> dict:
            for name, (_, unit) in rows[0].items()}
     out["trace.overhead"] = {
         "value": out["trace.learn_s"]["value"]
-        / statistics.median(r["learn_s"] for r in untraced),
+        / statistics.median(scaled_learn_s(r, w) for r in untraced),
         "unit": "ratio"}
     return out
 
@@ -258,10 +298,10 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
         if now + (now - t) > start + min(seconds, HARD_LIMIT_S - 30):
             break
     records = untraced + traced
-    setups = [r["setup_s"] for r in records]
+    setups = [r["scaled"]["setup_s"] for r in records]
     while len(setups) < MIN_SETUP_SAMPLES:
         setups.append(child(name, w.hash_seeds[len(setups) % len(w.hash_seeds)],
-                            deadline, "--setup-only")["setup_s"])
+                            deadline, "--setup-only")["scaled"]["setup_s"])
 
     problems = []
     failed = 0
@@ -271,7 +311,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
         failed += r["missed_deadline"]
         problems += r["problems"]
     metrics = per_layer(traced, untraced, w) if trace else \
-        end_to_end(untraced, setups)
+        end_to_end(untraced, setups, w)
     result = {"correct": not problems, "attempted": len(records),
               "failed": failed, "metrics": metrics}
 
