@@ -25,7 +25,7 @@ can still belong to an optimal recursive program.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 
 from .constrain import ConstraintStore
 from .logic import (
@@ -35,7 +35,6 @@ from .logic import (
     Var,
     canonicalize,
     prog_size,
-    rule_variables,
 )
 from .parsing import ParseError, parse_directives
 
@@ -154,38 +153,40 @@ def literal_templates(bias: Bias) -> list:
     return out
 
 
-def _head_connected(head: Literal, body) -> bool:
-    reached = {a for a in head.args if isinstance(a, Var)}
-    pending = list(body)
-    while pending:
-        progressed = False
-        rest = []
-        for lit in pending:
-            vs = {a for a in lit.args if isinstance(a, Var)}
-            if vs & reached:
-                reached |= vs
-                progressed = True
-            else:
-                rest.append(lit)
-        if not progressed:
-            return False
-        pending = rest
-    return True
-
-
-def _types_consistent(bias: Bias, head: Literal, body) -> bool:
+def _var_types(bias: Bias, lits):
+    """Declared type of each variable index of ``lits``, or None when one
+    variable is declared with two types."""
     seen: dict = {}
-    for lit in (head, *body):
+    for lit in lits:
         types = bias.arg_types.get((lit.pred, len(lit.args)))
         if types is None:
             continue
         for a, ty in zip(lit.args, types):
-            if not isinstance(a, Var):
-                continue
-            prev = seen.setdefault(a, ty)
-            if prev != ty:
+            if isinstance(a, Var) and seen.setdefault(a.idx, ty) != ty:
+                return None
+    return seen
+
+
+def _extends(lit: Literal, n: int) -> bool:
+    """True iff ``lit`` shares a variable with a rule over variables
+    0..n-1 and numbers its other variables n, n+1, ... in order of first
+    appearance."""
+    nxt = n
+    shared = False
+    for a in lit.args:
+        if isinstance(a, Var):
+            if a.idx < n:
+                shared = True
+            elif a.idx == nxt:
+                nxt += 1
+            elif a.idx > nxt:
                 return False
-    return True
+    return shared
+
+
+def _num_vars(rule: Rule) -> int:
+    return 1 + max((a.idx for lit in (rule.head, *rule.body)
+                    for a in lit.args if isinstance(a, Var)), default=-1)
 
 
 def _pool_order_key(bias: Bias, rule: Rule):
@@ -211,33 +212,83 @@ def _pool_order_key(bias: Bias, rule: Rule):
     )
 
 
-def enumerate_rules(bias: Bias, rule_size: int) -> list:
+def enumerate_rules(bias: Bias, rule_size: int, parents=None,
+                    deadline_check=None) -> list:
     """Every canonical rule of exactly ``rule_size`` literals admitted by the
     bias: target head with distinct fresh variables, head-connected body
     without duplicate literals, at most max_vars variables, type-consistent,
-    and no body literal equal to the head.  Deterministically ordered."""
+    and no body literal equal to the head.  Deterministically ordered.
+
+    ``parents`` is the pool one size smaller (built here when not given);
+    ``deadline_check`` is called once per parent rule.
+
+    Each rule is a parent extended by one template literal, which is
+    complete: in a head-connected body, a leaf of a breadth-first tree
+    from the head is a literal whose removal leaves the body connected,
+    and removing a literal keeps every other condition (no duplicate, no
+    head literal, types, variable count).  So every rule of this size is,
+    up to renaming, a canonical parent plus one literal.  The parent's
+    variables are 0..n-1, and the literal's variables that the parent lacks
+    can be renamed freely, so only the renaming that numbers them n, n+1,
+    ... in order of first appearance is tried: the others would give the
+    same rules again, and this one uses an index below max_vars exactly
+    when the rule has at most max_vars variables.
+
+    A body arises from every pair whose parent is the body less one
+    literal, exactly as it stands in the pool, and whose literal passes
+    the numbering rule above.  Only the pair with the highest template
+    index of the literal canonicalizes it, so no body is canonicalized
+    twice and no set of raw bodies is kept."""
     k = rule_size - 1
     if k < 1 or k > bias.max_body:
         return []
-    templates = literal_templates(bias)
+    if k == 1:
+        parents = [Rule(Literal(name, tuple(Var(i) for i in range(arity))),
+                        frozenset())
+                   for name, arity in bias.targets]
+    elif parents is None:
+        parents = enumerate_rules(bias, rule_size - 1)
+    templates = []  # (index, literal, types of its variables)
+    for lit in literal_templates(bias):
+        types = _var_types(bias, (lit,))
+        if types is not None:
+            templates.append((len(templates), lit, tuple(types.items())))
+    index = {lit: i for i, lit, _ in templates}
+    shared = {lit: lit for _, lit, _ in templates}
+    fits = [{n for n in range(bias.max_vars + 1) if _extends(lit, n)}
+            for _, lit, _ in templates]
+    by_n = {n: [t for t in templates if n in fits[t[0]]]
+            for n in range(bias.max_vars + 1)}
+    # head -> body as template indices -> variable count, for each parent
+    known: dict = {}
+    for p in parents:
+        ids = frozenset(index[m] for m in p.body)
+        known.setdefault(p.head, {})[ids] = _num_vars(p)
     out = []
     seen = set()
-    for name, arity in bias.targets:
-        if arity > bias.max_vars:
-            raise BiasError(f"target {name}/{arity} exceeds max_vars")
-        head = Literal(name, tuple(Var(i) for i in range(arity)))
-        for combo in combinations(templates, k):
-            if head in combo:
+    for parent in parents:
+        if deadline_check is not None:
+            deadline_check()
+        head, body = parent.head, parent.body
+        head_id = index.get(head)
+        siblings = known[head]
+        ids = frozenset(index[m] for m in body)
+        types = _var_types(bias, (head, *body))
+        for i, lit, lit_types in by_n[siblings[ids]]:
+            if i in ids or i == head_id:
                 continue
-            if not _head_connected(head, combo):
+            if any(types.get(v, ty) != ty for v, ty in lit_types):
                 continue
-            if not _types_consistent(bias, head, combo):
+            new_ids = ids | {i}
+            if any(j > i and siblings.get(new_ids - {j}, 0) in fits[j]
+                   for j in ids):
                 continue
-            rule = canonicalize(Rule(head, frozenset(combo)))
-            if len(rule.body) != k or rule in seen:
-                continue
-            seen.add(rule)
-            out.append(rule)
+            rule = canonicalize(Rule(head, body | {lit}))
+            if rule not in seen:
+                # the pool shares the template literals, not copies
+                rule = Rule(head, frozenset(shared[b] for b in rule.body))
+                seen.add(rule)
+                out.append(rule)
     out.sort(key=lambda r: _pool_order_key(bias, r))
     return out
 
@@ -320,11 +371,10 @@ class GeneratorState:
     incrementally as constraints arrive."""
 
     def __init__(self, bias: Bias, store: ConstraintStore,
-                 deadline_check=None, prune_hook=None):
+                 deadline_check=None):
         self.bias = bias
         self.store = store
         self.deadline_check = deadline_check
-        self.prune_hook = prune_hook
         self._pools: dict = {}
         self._flags: dict = {}  # Rule -> [spec, gen, watermark]
         self._iter = None
@@ -335,7 +385,9 @@ class GeneratorState:
     def pool(self, rule_sz: int):
         pool = self._pools.get(rule_sz)
         if pool is None:
-            pool = enumerate_rules(self.bias, rule_sz)
+            parents = self.pool(rule_sz - 1) if rule_sz > 2 else None
+            pool = enumerate_rules(self.bias, rule_sz, parents,
+                                   self.deadline_check)
             self._pools[rule_sz] = pool
         return pool
 
@@ -384,8 +436,7 @@ class GeneratorState:
                 continue
             for pick in _diagonal_picks([(len(p), m) for p, m in pools]):
                 self.candidates_seen += 1
-                if self.deadline_check is not None and \
-                        self.candidates_seen % 1024 == 0:
+                if self.deadline_check is not None:
                     self.deadline_check()
                 rules = tuple(
                     pools[g][0][i]
@@ -403,21 +454,16 @@ class GeneratorState:
         if len(rules) == 1:
             flags = self._rule_flags(rules[0])
             if flags[0] or flags[1]:
-                self._note_pruned(rules)
+                self.candidates_pruned += 1
                 return None
             return frozenset(rules)
         separable = not recursive
         for r in rules:
             flags = self._rule_flags(r)
             if flags[1] or (separable and flags[0]):
-                self._note_pruned(rules)
+                self.candidates_pruned += 1
                 return None
         if self.store.violates(rules, size):
-            self._note_pruned(rules)
+            self.candidates_pruned += 1
             return None
         return frozenset(rules)
-
-    def _note_pruned(self, rules):
-        self.candidates_pruned += 1
-        if self.prune_hook is not None:
-            self.prune_hook(frozenset(rules))

@@ -14,7 +14,6 @@ representative of a rule up to variable renaming and body-literal order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 from typing import Iterable
 
@@ -87,7 +86,9 @@ def _body_sorted(body: Iterable[Literal]) -> list:
 
 
 def _literal_sort_key(lit: Literal):
-    return (lit.pred, len(lit.args), tuple(_term_token(a, {}) for a in lit.args))
+    return (lit.pred, len(lit.args),
+            tuple((0, a.idx) if isinstance(a, Var) else (1, _const_key(a))
+                  for a in lit.args))
 
 
 def format_rule(rule: Rule) -> str:
@@ -150,15 +151,6 @@ def _const_key(v):
     if isinstance(v, tuple):
         return (2, tuple(_const_key(x) for x in v))
     return (3, repr(v))
-
-
-def _term_token(t, mapping):
-    # Tokens order variables before constants; used for sorting and for the
-    # canonical search below.
-    if isinstance(t, Var):
-        idx = mapping.get(t)
-        return (0, -1 if idx is None else idx)
-    return (1, _const_key(t))
 
 
 def _lit_pattern(lit: Literal, mapping: dict, nxt: int):
@@ -267,7 +259,6 @@ def _match_literal(pat: Literal, tgt: Literal, theta: dict) -> bool:
     return True
 
 
-@lru_cache(maxsize=1 << 18)
 def clause_subsumes(c1: Rule, c2: Rule) -> bool:
     """True iff some substitution maps every literal of ``c1`` onto a literal
     of ``c2``, head onto head and body into body."""

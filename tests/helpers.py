@@ -10,6 +10,8 @@ from mdlsynth.evaluate import BackgroundKnowledge, ExampleSet
 from mdlsynth.generate import Bias
 from mdlsynth.logic import Literal, Rule, Var, canonicalize
 
+from .oracles import _naive_connected
+
 CONSTS = ("c0", "c1", "c2")
 
 
@@ -33,11 +35,9 @@ def random_rule(rng: random.Random, preds=None, max_body=3, max_vars=3,
 
 
 def connected_random_rule(rng, **kw) -> Rule:
-    from mdlsynth.generate import _head_connected
-
     while True:
         r = random_rule(rng, **kw)
-        if r.body and _head_connected(r.head, r.body):
+        if r.body and _naive_connected(r.head, r.body):
             return r
 
 

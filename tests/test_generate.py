@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mdlsynth
 from mdlsynth.constrain import ConstraintStore, Kind, NoisyConstraint
 from mdlsynth.generate import Bias, BiasError, GeneratorState, enumerate_rules, violates
 from mdlsynth.logic import prog_size, program_subsumes
@@ -55,6 +60,50 @@ class TestEnumerateRules:
             got = {brute_canonical_key(r) for r in enumerate_rules(bias, size)}
             want = naive_enumerate_rules(bias, size)
             assert got == want, size
+
+    def test_counts_match_naive_unfillable_max_vars(self):
+        # each body literal adds at most one variable, so no rule reaches
+        # the fifth: templates name indices that no parent rule reaches yet
+        bias = Bias(targets=[("f", 1)], body_preds=[("p", 1), ("q", 2)],
+                    max_vars=5, max_body=3, max_rules=1)
+        for size in (2, 3, 4):
+            got = {brute_canonical_key(r) for r in enumerate_rules(bias, size)}
+            want = naive_enumerate_rules(bias, size)
+            assert got == want, size
+
+    def test_counts_match_naive_two_targets_with_constants(self):
+        bias = Bias(targets=[("f", 1), ("g", 2)],
+                    body_preds=[("head", 2), ("tail", 2)],
+                    max_vars=3, max_body=3, max_rules=2, allow_recursion=True,
+                    constants={"int": [0, 1]},
+                    arg_types={("f", 1): ("list",), ("g", 2): ("list", "int"),
+                               ("head", 2): ("list", "int"),
+                               ("tail", 2): ("list", "list")})
+        for size in (2, 3, 4):
+            got = {brute_canonical_key(r) for r in enumerate_rules(bias, size)}
+            want = naive_enumerate_rules(bias, size)
+            assert got == want, size
+
+    def test_pool_built_from_smaller_pool_matches(self):
+        gen = GeneratorState(SMALL_BIAS, ConstraintStore())
+        for size in (2, 3, 4):
+            assert gen.pool(size) == enumerate_rules(SMALL_BIAS, size), size
+
+    def test_order_independent_of_hash_seed(self):
+        code = ("from mdlsynth.logic import format_rule\n"
+                "from mdlsynth.generate import enumerate_rules\n"
+                "from mdlsynth.tasks import generate_task\n"
+                "bias = generate_task('evens', 10, 0).bias\n"
+                "for r in enumerate_rules(bias, 3):\n"
+                "    print(format_rule(r))\n")
+        src = str(Path(mdlsynth.__file__).resolve().parent.parent)
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, check=True)
+            outs.append(proc.stdout.splitlines())
+        assert outs[0] and outs[0] == outs[1]
 
     def test_no_alpha_duplicates(self):
         for size in (2, 3, 4):

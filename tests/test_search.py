@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from mdlsynth.generate import Bias
 from mdlsynth.logic import Literal, prog_size
 from mdlsynth.parsing import parse_ground_atom, parse_rules
 from mdlsynth.search import SearchConfig, SearchState, learn, loop_invariant_check
+from mdlsynth.tasks import generate_task
 
 from .helpers import tiny_task
 from .oracles import exhaustive_min_cost
@@ -194,3 +196,12 @@ class TestTimeout:
         h, stats = learn(bk, ex, bias, SearchConfig(timeout=1e-6))
         assert stats.timed_out
         assert stats.best_cost <= ex.num_pos
+
+    @pytest.mark.parametrize("family", ["dropk", "sorted", "reverse"])
+    def test_timeout_bounds_pool_build_and_assembly(self, family):
+        # these list families spend the first seconds building rule pools
+        # and assembling candidates, which both check the deadline
+        task = generate_task(family, 40, 0)
+        t0 = time.perf_counter()
+        learn(task.bk, task.train, task.bias, SearchConfig(timeout=1))
+        assert time.perf_counter() - t0 < 2.0
