@@ -17,7 +17,7 @@ from .evaluate import (
     ExampleSet,
     mdl_cost,
 )
-from .generate import Bias, BiasError, GeneratorState, enumerate_rules, violates
+from .generate import Bias, BiasError, GeneratorState, enumerate_rules
 from .logic import (
     Hypothesis,
     Literal,
@@ -36,6 +36,6 @@ from .logic import (
 )
 from .parsing import ParseError, parse_examples, parse_ground_atom, parse_rules
 from .search import SearchConfig, SearchStats, learn, loop_invariant_check
-from .tasks import RunReport, Task, bench, evaluate, generate_task, inject_noise, run_task
+from .tasks import RunReport, Task, bench, generate_task, inject_noise, run_task
 
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ from .tasks import (
     bench,
     evaluate,
     generate_task,
-    inject_noise,
     load_task,
     write_task_dir,
 )
@@ -29,7 +28,6 @@ def _cmd_learn(args) -> int:
         timeout=args.timeout,
         enable_noisy_constraints=not args.no_noisy_constraints,
         budget=EvalBudget(max_depth=args.max_depth, max_steps=args.max_steps),
-        seed=args.seed,
         trace=args.trace,
     )
     t = time.perf_counter()
@@ -99,7 +97,8 @@ def main(argv=None) -> int:
     p.add_argument("--timeout", type=float, default=600.0)
     p.add_argument("--noise", type=float, default=0.0,
                    help="flip this proportion of training labels")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the label noise that --noise adds")
     p.add_argument("--no-noisy-constraints", action="store_true",
                    help="disable noise-tolerant pruning constraints")
     p.add_argument("--trace", action="store_true",

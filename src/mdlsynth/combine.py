@@ -80,11 +80,11 @@ class PromisingPool:
         if key in self._keys:
             return False
         for e in self.entries:
-            if _dominates(e, cov, size):
+            if _dominates(e.cov, e.size, cov, size):
                 return False
         survivors = []
         for e in self.entries:
-            if _dominated_by(e, cov, size):
+            if _dominates(cov, size, e.cov, e.size):
                 self._keys.discard((e.cov.pos_mask, e.cov.neg_mask, e.size))
             else:
                 survivors.append(e)
@@ -95,24 +95,15 @@ class PromisingPool:
         return True
 
 
-def _dominates(e: PoolEntry, cov: Coverage, size: int) -> bool:
-    """True when existing entry e is at least as good as (cov, size) and
+def _dominates(a_cov: Coverage, a_size: int, b_cov: Coverage, b_size: int) -> bool:
+    """True when (a_cov, a_size) is at least as good as (b_cov, b_size) and
     strictly better somewhere."""
-    if not (e.cov.pos_mask | cov.pos_mask == e.cov.pos_mask
-            and e.cov.neg_mask & cov.neg_mask == e.cov.neg_mask
-            and e.size <= size):
+    if not (a_cov.pos_mask | b_cov.pos_mask == a_cov.pos_mask
+            and a_cov.neg_mask & b_cov.neg_mask == a_cov.neg_mask
+            and a_size <= b_size):
         return False
-    return (e.cov.pos_mask != cov.pos_mask or e.cov.neg_mask != cov.neg_mask
-            or e.size < size)
-
-
-def _dominated_by(e: PoolEntry, cov: Coverage, size: int) -> bool:
-    if not (cov.pos_mask | e.cov.pos_mask == cov.pos_mask
-            and cov.neg_mask & e.cov.neg_mask == cov.neg_mask
-            and size <= e.size):
-        return False
-    return (e.cov.pos_mask != cov.pos_mask or e.cov.neg_mask != cov.neg_mask
-            or size < e.size)
+    return (a_cov.pos_mask != b_cov.pos_mask or a_cov.neg_mask != b_cov.neg_mask
+            or a_size < b_size)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@ example?
 
 The decision procedure is top-down SLD-style resolution with:
 
+* one resolution step, ``_resolve``, that tries the facts and then the
+  clauses of a goal and solves the remaining goals under each resolvent,
 * destructive variable bindings undone through a trail,
 * memoization of ground calls (successes globally, failures per remaining
-  depth),
+  depth): a ground goal is resolved on its own, with nothing left to solve,
+  and only then is its continuation run,
 * an iterative-deepening depth bound and a per-example inference-step budget
   (exhaustion counts as non-coverage and is tallied, never raised to the
   caller),
@@ -14,12 +17,13 @@ The decision procedure is top-down SLD-style resolution with:
   until other goals have bound more variables; if no goal can run, the
   branch fails.
 
-Separable multi-rule programs are evaluated one rule at a time and their
-coverages OR-ed, which is exact because no rule can feed another (no head
-predicate occurs in any body, and background clauses never call hypothesis
-heads).  Coverage of a non-separable program is seeded with the union of its
-members' cached solo coverages, which is a sound lower bound; only the
-remaining examples are evaluated against the full program.
+One loop, ``_cover``, proves examples.  Each rule's coverage is computed
+alone and cached, and a program's coverage starts as the union of its rules'
+coverages.  That is exact for a non-recursive program, because no rule can
+feed another (no head predicate occurs in any body, and background clauses
+never call hypothesis heads).  For a recursive program of several rules it
+is a sound lower bound, and only the examples it leaves are proven against
+the whole program.
 """
 
 from __future__ import annotations
@@ -250,12 +254,10 @@ class BackgroundKnowledge:
         self.builtins = dict(DEFAULT_BUILTINS if builtins is None else builtins)
         self._facts_by_pred: dict = {}
         self._facts_by_first: dict = {}
-        self._fact_sets: dict = {}
         self._rules_by_pred: dict = {}
         for f in self.facts:
             key = (f.pred, len(f.args))
             self._facts_by_pred.setdefault(key, []).append(f.args)
-            self._fact_sets.setdefault(key, set()).add(f.args)
             if f.args:
                 self._facts_by_first.setdefault((key, f.args[0]), []).append(f.args)
         for r in self.rules:
@@ -275,9 +277,6 @@ class BackgroundKnowledge:
             else:
                 facts.append(head)
         return cls(facts, rules, builtins)
-
-    def register_builtin(self, name: str, arity: int, fn) -> None:
-        self.builtins[(name, arity)] = fn
 
     def defines(self, key) -> bool:
         return key in self._facts_by_pred or key in self._rules_by_pred
@@ -314,6 +313,8 @@ class Evaluator:
         self.budget_exhausted = 0
         self._rule_cov: dict = {}
         self._known = bk.known_predicates()
+        self._facts_by_pred = bk._facts_by_pred
+        self._facts_by_first = bk._facts_by_first
         self._user_keys = set(bk._facts_by_pred) | set(bk._rules_by_pred)
         self._builtins = bk.builtins
 
@@ -328,35 +329,16 @@ class Evaluator:
 
     def test(self, h: Hypothesis) -> Coverage:
         """Coverage bitsets of ``h`` over the example set."""
-        ex = self.examples
-        if len(h) == 1:
-            (rule,) = h
-            pos, neg = self._rule_coverage(rule)
-            return Coverage(pos, neg, ex.num_pos, ex.num_neg)
-        if len(h) == 0:
-            return Coverage(0, 0, ex.num_pos, ex.num_neg)
-        if not is_recursive(h):
-            pos = neg = 0
-            for rule in h:
-                p, n = self._rule_coverage(rule)
-                pos |= p
-                neg |= n
-            return Coverage(pos, neg, ex.num_pos, ex.num_neg)
-        # Non-separable: seed with the union of solo coverages (a sound lower
-        # bound) and evaluate only the remaining examples.
         pos = neg = 0
         for rule in h:
             p, n = self._rule_coverage(rule)
             pos |= p
             neg |= n
-        prog = self._compile(h)
-        memo = (set(), {})
-        for i, e in enumerate(ex.pos):
-            if not (pos >> i) & 1 and self._prove(prog, e, memo):
-                pos |= 1 << i
-        for i, e in enumerate(ex.neg):
-            if not (neg >> i) & 1 and self._prove(prog, e, memo):
-                neg |= 1 << i
+        if len(h) > 1 and is_recursive(h):
+            # the union of solo coverages is a sound lower bound; prove only
+            # the examples it leaves
+            pos, neg = self._cover(self._compile(h), pos, neg)
+        ex = self.examples
         return Coverage(pos, neg, ex.num_pos, ex.num_neg)
 
     # ---- internals -------------------------------------------------------
@@ -370,19 +352,22 @@ class Evaluator:
 
     def _rule_coverage(self, rule: Rule):
         cov = self._rule_cov.get(rule)
-        if cov is not None:
-            return cov
-        prog = self._compile(frozenset((rule,)))
+        if cov is None:
+            cov = self._rule_cov[rule] = self._cover(
+                self._compile(frozenset((rule,))), 0, 0)
+        return cov
+
+    def _cover(self, prog, pos: int, neg: int):
+        """Adds to the masks ``pos``/``neg`` every example ``prog`` proves
+        among those they leave unset."""
         ex = self.examples
         memo = (set(), {})
-        pos = neg = 0
         for i, e in enumerate(ex.pos):
-            if self._prove(prog, e, memo):
+            if not (pos >> i) & 1 and self._prove(prog, e, memo):
                 pos |= 1 << i
         for i, e in enumerate(ex.neg):
-            if self._prove(prog, e, memo):
+            if not (neg >> i) & 1 and self._prove(prog, e, memo):
                 neg |= 1 << i
-        self._rule_cov[rule] = (pos, neg)
         return pos, neg
 
     def _compile(self, h: Hypothesis):
@@ -512,23 +497,30 @@ class Evaluator:
                 a = r
             w.append(a)
         walked = tuple(w)
-        if ground:
-            # a ground goal is proven in isolation: no bindings escape, so
-            # success/failure can be memoized independently of the
-            # continuation
-            gkey = (key, walked)
-            if gkey in succ:
-                return self._solve(prog, rest, depth, trail, succ, fail, steps)
+        if not ground:
+            return self._resolve(prog, key, walked, rest, depth, trail, succ, fail, steps)
+        # a ground goal is proven in isolation: no bindings escape, so
+        # success/failure can be memoized independently of the continuation
+        gkey = (key, walked)
+        if gkey not in succ:
             if fail.get(gkey, -1) >= depth:
                 return False
-            if self._prove_ground(prog, key, walked, depth, trail, succ, fail, steps):
-                succ.add(gkey)
-                return self._solve(prog, rest, depth, trail, succ, fail, steps)
-            if fail.get(gkey, -1) < depth:
+            mark = len(trail)
+            if not self._resolve(prog, key, walked, (), depth, trail, succ, fail, steps):
+                # nested calls store only lower depths: this never lowers it
                 fail[gkey] = depth
-            return False
+                return False
+            self._undo(trail, mark)
+            succ.add(gkey)
+        return self._solve(prog, rest, depth, trail, succ, fail, steps)
 
-        for fact_args in self._fact_candidates(key, walked):
+    def _resolve(self, prog, key, walked, rest, depth, trail, succ, fail, steps) -> bool:
+        """Resolves the goal ``key(walked)`` against the facts, then the
+        clauses, and solves ``rest`` under each resolvent."""
+        facts = self._facts_by_pred.get(key, ())
+        if facts and walked and type(walked[0]) is not _FVar:
+            facts = self._facts_by_first.get((key, walked[0]), ())
+        for fact_args in facts:
             mark = len(trail)
             if self._unify_tuple(walked, fact_args, trail):
                 if self._solve(prog, rest, depth, trail, succ, fail, steps):
@@ -541,52 +533,26 @@ class Evaluator:
                 mark = len(trail)
                 env = [None] * nvars
                 if self._head_unify(head_codes, walked, env, trail):
-                    body = tuple(
-                        (bkey, tuple([mat(c, env) for c in codes]))
-                        for bkey, codes in body_codes
-                    )
+                    body = tuple([(bkey, mat(codes, env)) for bkey, codes in body_codes])
                     if self._solve(prog, body + rest, depth - 1, trail, succ, fail, steps):
                         return True
                 self._undo(trail, mark)
         return False
 
-    def _prove_ground(self, prog, key, walked, depth, trail, succ, fail, steps) -> bool:
-        facts = self.bk._fact_sets.get(key)
-        if facts is not None and walked in facts:
-            return True
-        clauses = prog.get(key, ())
-        if not clauses or depth <= 0:
-            return False
-        mat = self._mat
-        for head_codes, body_codes, nvars in clauses:
-            mark = len(trail)
-            env = [None] * nvars
-            if self._head_unify(head_codes, walked, env, trail):
-                body = tuple(
-                    (bkey, tuple([mat(c, env) for c in codes]))
-                    for bkey, codes in body_codes
-                )
-                if self._solve(prog, body, depth - 1, trail, succ, fail, steps):
-                    self._undo(trail, mark)
-                    return True
-            self._undo(trail, mark)
-        return False
-
-    def _fact_candidates(self, key, walked):
-        bk = self.bk
-        if key not in bk._facts_by_pred:
-            return ()
-        if walked and not isinstance(walked[0], _FVar):
-            return bk._facts_by_first.get((key, walked[0]), ())
-        return bk._facts_by_pred[key]
-
-    def _mat(self, code, env):
-        if code[0] == "v":
-            v = env[code[1]]
-            if v is None:
-                v = env[code[1]] = _FVar()
-            return v
-        return code[1]
+    @staticmethod
+    def _mat(codes, env):
+        """A body literal's arguments under ``env``, with a fresh variable for
+        each clause variable not yet bound."""
+        args = []
+        for kind, val in codes:
+            if kind == "v":
+                v = env[val]
+                if v is None:
+                    v = env[val] = _FVar()
+                args.append(v)
+            else:
+                args.append(val)
+        return tuple(args)
 
     def _head_unify(self, codes, walked, env, trail) -> bool:
         for code, a in zip(codes, walked):

@@ -28,17 +28,10 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .constrain import ConstraintStore
-from .logic import (
-    Hypothesis,
-    Literal,
-    Rule,
-    Var,
-    canonicalize,
-    prog_size,
-)
+from .logic import Literal, Rule, Var, canonicalize
 from .parsing import ParseError, parse_directives
 
-__all__ = ["Bias", "BiasError", "GeneratorState", "enumerate_rules", "violates"]
+__all__ = ["Bias", "BiasError", "GeneratorState", "enumerate_rules"]
 
 
 class BiasError(ValueError):
@@ -119,11 +112,6 @@ class Bias:
         if self.allow_recursion:
             lines.append("enable_recursion.")
         return "\n".join(lines) + "\n"
-
-
-def violates(h: Hypothesis, store: ConstraintStore) -> bool:
-    """True iff some stored constraint prunes ``h``."""
-    return store.violates(h, prog_size(h))
 
 
 # ---------------------------------------------------------------------------

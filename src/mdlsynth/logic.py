@@ -14,7 +14,6 @@ representative of a rule up to variable renaming and body-literal order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable
 
 
@@ -223,17 +222,11 @@ def canonicalize(rule: Rule) -> Rule:
 
 def _key_to_const(k):
     tag, v = k
-    if tag == 0:
-        return v
-    if tag == 1:
+    if tag in (0, 1):
         return v
     if tag == 2:
         return tuple(_key_to_const(x) for x in v)
     raise ValueError(f"cannot rebuild constant from key {k!r}")
-
-
-def canonical_program(rules: Iterable[Rule]) -> Hypothesis:
-    return frozenset(canonicalize(r) for r in rules)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +291,3 @@ def program_subsumes(h1: Hypothesis, h2: Hypothesis) -> bool:
 
 def alpha_equivalent(r1: Rule, r2: Rule) -> bool:
     return canonicalize(r1) == canonicalize(r2)
-
-
-def rule_variables(rule: Rule) -> set:
-    out = set()
-    for lit in (rule.head, *rule.body):
-        out.update(a for a in lit.args if isinstance(a, Var))
-    return out

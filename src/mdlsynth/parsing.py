@@ -60,8 +60,9 @@ class _Parser:
     def eof(self) -> bool:
         return self.i >= len(self.toks)
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None)
+    def peek(self, ahead: int = 0):
+        j = self.i + ahead
+        return self.toks[j] if j < len(self.toks) else (None, None)
 
     def take(self, kind=None, value=None):
         if self.eof():
@@ -151,6 +152,41 @@ class _Parser:
         self.take("punct", ".")
         return head, body
 
+    # ---- directives -----------------------------------------------------
+
+    def directive(self):
+        name = self.take("name")
+        args = []
+        if self.peek() == ("punct", "("):
+            self.take()
+            args.append(self.directive_arg())
+            while self.peek() == ("punct", ","):
+                self.take()
+                args.append(self.directive_arg())
+            self.take("punct", ")")
+        self.take("punct", ".")
+        return name, tuple(args)
+
+    def directive_arg(self):
+        k, v = self.peek()
+        if k == "int":
+            self.take()
+            return int(v)
+        if k == "name":
+            self.take()
+            return v
+        if k == "punct" and v == "(":
+            self.take()
+            items = [self.directive_arg()]
+            while self.peek() == ("punct", ","):
+                self.take()
+                if self.peek() == ("punct", ")"):  # trailing comma: (list,)
+                    break
+                items.append(self.directive_arg())
+            self.take("punct", ")")
+            return tuple(items)
+        raise ParseError(f"unexpected directive argument {v!r}")
+
 
 def parse_clauses(text: str) -> list:
     """Parse a program as a list of (head, body-list) pairs; facts have an
@@ -194,33 +230,21 @@ def parse_examples(text: str, default_label: str | None = None):
     pos, neg = [], []
     while not p.eof():
         varmap: dict = {}
-        name = p.take("name")
-        if name in ("pos", "neg") and p.peek() == ("punct", "("):
+        label = p.peek()[1]
+        if label in ("pos", "neg") and p.peek(1) == ("punct", "("):
+            p.take()
             p.take()
             atom = p.atom(varmap)
             p.take("punct", ")")
-            p.take("punct", ".")
-            if varmap:
-                raise ParseError(f"example {atom} is not ground")
-            (pos if name == "pos" else neg).append(atom)
-            continue
-        # bare atom, possibly with arguments
-        args = ()
-        if p.peek() == ("punct", "("):
-            p.take()
-            items = [p.term(varmap)]
-            while p.peek() == ("punct", ","):
-                p.take()
-                items.append(p.term(varmap))
-            p.take("punct", ")")
-            args = tuple(items)
+        else:
+            atom = p.atom(varmap)
+            label = default_label
         p.take("punct", ".")
-        atom = Literal(name, args)
         if varmap:
             raise ParseError(f"example {atom} is not ground")
-        if default_label == "pos":
+        if label == "pos":
             pos.append(atom)
-        elif default_label == "neg":
+        elif label == "neg":
             neg.append(atom)
         else:
             raise ParseError(f"unlabelled example {atom} and no default label")
@@ -233,54 +257,8 @@ def parse_directives(text: str) -> list:
     Args may be names, integers, or parenthesized tuples of names, as in
     ``type(head,(list,int)).``; zero-arity directives like
     ``enable_recursion.`` are allowed."""
-    toks = _tokenize(text)
-    i = 0
+    p = _Parser(text)
     out = []
-
-    def take(kind=None, value=None):
-        nonlocal i
-        if i >= len(toks):
-            raise ParseError("unexpected end of directive file")
-        k, v = toks[i]
-        if kind is not None and k != kind or value is not None and v != value:
-            raise ParseError(f"unexpected token {v!r} in directives")
-        i += 1
-        return v
-
-    def peek():
-        return toks[i] if i < len(toks) else (None, None)
-
-    def arg():
-        nonlocal i
-        k, v = peek()
-        if k == "int":
-            take()
-            return int(v)
-        if k == "name":
-            take()
-            return v
-        if k == "punct" and v == "(":
-            take()
-            items = [arg()]
-            while peek() == ("punct", ","):
-                take()
-                if peek() == ("punct", ")"):  # trailing comma: (list,)
-                    break
-                items.append(arg())
-            take("punct", ")")
-            return tuple(items)
-        raise ParseError(f"unexpected directive argument {v!r}")
-
-    while i < len(toks):
-        name = take("name")
-        args = []
-        if peek() == ("punct", "("):
-            take()
-            args.append(arg())
-            while peek() == ("punct", ","):
-                take()
-                args.append(arg())
-            take("punct", ")")
-        take("punct", ".")
-        out.append((name, tuple(args)))
+    while not p.eof():
+        out.append(p.directive())
     return out

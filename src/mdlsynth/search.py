@@ -47,8 +47,6 @@ class SearchConfig:
     timeout: float = 600.0
     enable_noisy_constraints: bool = True
     budget: EvalBudget = field(default_factory=EvalBudget)
-    combine_batch: int = 1
-    seed: int = 0  # recorded for reproducibility; the loop itself is deterministic
     trace: bool = False
     debug: bool = False
 
@@ -184,7 +182,6 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
     max_mdl = num_pos
     stats.trajectory.append((0.0, best_cost))
 
-    pending_combine = 0
     size = 2
     announced = None
 
@@ -203,8 +200,6 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
         _print_best(h, cov, prog_size(h), cost, config.trace)
 
     def run_combine():
-        nonlocal pending_combine
-        pending_combine = 0
         stats.combine_calls += 1
         result = stage("combine", solve, pool, examples, max_mdl)
         if result is None:
@@ -240,9 +235,7 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
             if cov.tp > 0 and not is_recursive(h) \
                     and not has_invented(h, bias.targets):
                 if pool.add(h, cov):
-                    pending_combine += 1
-                    if pending_combine >= config.combine_batch:
-                        run_combine()
+                    run_combine()
             if config.enable_noisy_constraints:
                 bounds = SearchBounds(best_cost, num_pos)
                 cons = stage("constrain", derive, h, cov, bounds,
@@ -254,8 +247,6 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
                 loop_invariant_check(SearchState(
                     size, max_mdl, best, best_cost, num_pos, ev))
         stats.completed = True
-        if pending_combine:
-            run_combine()
     except SearchTimeout:
         stats.timed_out = True
 

@@ -15,7 +15,7 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .evaluate import (
     BackgroundKnowledge,
@@ -425,7 +425,6 @@ def evaluate(h: Hypothesis, task: Task, stats: SearchStats | None = None,
         config={
             "timeout": config.timeout if config else None,
             "noisy_constraints": config.enable_noisy_constraints if config else None,
-            "seed": config.seed if config else None,
             "noise_p": task.noise_p,
             "noise_seed": task.noise_seed,
         },
@@ -464,7 +463,7 @@ def bench(grid: dict) -> list:
             accs, times = [], []
             for seed in grid.get("seeds", [0]):
                 task = base.with_noise(p, seed) if p else base
-                report = run_task(task, SearchConfig(timeout=timeout, seed=seed))
+                report = run_task(task, SearchConfig(timeout=timeout))
                 accs.append(report.test_accuracy)
                 times.append(report.wall_time)
             stderr = (statistics.stdev(accs) / math.sqrt(len(accs))

@@ -225,7 +225,27 @@ class TestBudget:
         h = prog("f(A):- tail(A,B),f(B),head(A,C),one(C).")
         cov = ev.test(h)
         assert cov.tp == 0
-        assert ev.budget_exhausted >= 1
+        # a lone recursive rule is proven once per example, not once alone
+        # and again as a whole program
+        assert ev.budget_exhausted == 1
+
+    def test_recursive_program_proves_only_uncovered_examples(self):
+        bk = BackgroundKnowledge()
+        ex = ExampleSet((atom("f([0,1])"), atom("f([1,0])"), atom("f([1,1])")), ())
+        ev = Evaluator(bk, ex)
+        proven = []
+        prove = ev._prove
+
+        def counting_prove(compiled, example, memo):
+            proven.append((len(compiled[("f", 1)]), example))
+            return prove(compiled, example, memo)
+
+        ev._prove = counting_prove
+        cov = ev.test(prog(H2))
+        assert cov.pos_mask == 0b011
+        # f([0,1]) is covered by the base rule alone, so the two-rule
+        # program is run only on the other two examples
+        assert [e for n, e in proven if n == 2] == [atom("f([1,0])"), atom("f([1,1])")]
 
     def test_depth_bound_cuts_unbounded_recursion(self):
         bk = BackgroundKnowledge()

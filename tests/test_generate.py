@@ -8,7 +8,7 @@ import pytest
 
 import mdlsynth
 from mdlsynth.constrain import ConstraintStore, Kind, NoisyConstraint
-from mdlsynth.generate import Bias, BiasError, GeneratorState, enumerate_rules, violates
+from mdlsynth.generate import Bias, BiasError, GeneratorState, enumerate_rules
 from mdlsynth.logic import prog_size, program_subsumes
 from mdlsynth.parsing import parse_rules
 
@@ -213,14 +213,15 @@ class TestViolates:
     def test_empty_store_never_violates(self):
         store = ConstraintStore()
         for r in enumerate_rules(SMALL_BIAS, 3):
-            assert not violates(frozenset((r,)), store)
+            h = frozenset((r,))
+            assert not store.violates(h, prog_size(h))
 
     def test_anchor_itself_pruned_by_spec_constraint_when_large(self):
         anchor = frozenset(parse_rules("f(A):- head(A,1),tail(A,B)."))
         store = ConstraintStore()
         store.add(NoisyConstraint(Kind.SPECIALISATION, anchor, 2))
         # reflexive subsumption: anchor specialises itself, size 3 > 2
-        assert violates(anchor, store)
+        assert store.violates(anchor, prog_size(anchor))
 
     def test_agreement_with_direct_subsumption_reevaluation(self):
         rng = random.Random(47)
@@ -252,6 +253,6 @@ class TestViolates:
                         want = True
                     if kind is Kind.GENERALISATION and program_subsumes(h, anchor):
                         want = True
-                assert violates(h, store) == want, (h, kinds, anchors, bounds)
+                assert store.violates(h, prog_size(h)) == want, (h, kinds, anchors, bounds)
                 cases += 1
         assert cases >= 1000

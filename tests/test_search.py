@@ -99,8 +99,8 @@ class TestLearnBasics:
         rng = random.Random(79)
         for _ in range(10):
             bk, ex, bias, _ = tiny_task(rng)
-            h1, s1 = learn(bk, ex, bias, SearchConfig(timeout=10, seed=1))
-            h2, s2 = learn(bk, ex, bias, SearchConfig(timeout=10, seed=1))
+            h1, s1 = learn(bk, ex, bias, SearchConfig(timeout=10))
+            h2, s2 = learn(bk, ex, bias, SearchConfig(timeout=10))
             assert h1 == h2
             assert [c for _, c in s1.trajectory] == [c for _, c in s2.trajectory]
             assert s1.programs_tested == s2.programs_tested
