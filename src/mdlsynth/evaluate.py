@@ -15,7 +15,17 @@ The decision procedure is top-down SLD-style resolution with:
 * built-in list/arithmetic predicates registered by name and arity.  A
   built-in invoked with insufficiently instantiated arguments is deferred
   until other goals have bound more variables; if no goal can run, the
-  branch fails.
+  branch fails,
+* an optional wall-clock deadline, checked every 4,096 steps by the same
+  countdown that enforces the step budget; passing it raises
+  ``SearchTimeout`` and caches no partial coverage.
+
+``BUILTIN_MODES`` states, for each default built-in, the input modes in
+which it runs: a ``+`` position must be bound, a ``-`` position may be
+free, and the function returns ``None`` (defers) exactly when no mode has
+all its ``+`` positions bound.  ``BackgroundKnowledge.modes`` gives these
+modes for the built-ins it actually runs; the generator reads them to drop
+recursive rules that would call themselves with an unbound argument.
 
 One loop, ``_cover``, proves examples.  Each rule's coverage is computed
 alone and cached, and a program's coverage starts as the union of its rules'
@@ -28,6 +38,8 @@ the whole program.
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 
 from .logic import Hypothesis, Literal, Rule, Var, is_recursive, prog_size
@@ -41,11 +53,17 @@ __all__ = [
     "Evaluator",
     "mdl_cost",
     "DEFAULT_BUILTINS",
+    "BUILTIN_MODES",
+    "SearchTimeout",
 ]
 
 
 class EngineError(ValueError):
     """A malformed query: unknown predicate or wrong arity."""
+
+
+class SearchTimeout(Exception):
+    """The search's wall-clock deadline passed."""
 
 
 @dataclass(frozen=True)
@@ -237,6 +255,23 @@ DEFAULT_BUILTINS = {
     ("append", 3): _bi_append,
 }
 
+# The modes in which each default built-in runs, read off where its function
+# returns None: "+" must be bound, "-" may be free.
+BUILTIN_MODES = {
+    ("head", 2): ("+-",),
+    ("tail", 2): ("+-",),
+    ("empty", 1): ("-",),
+    ("empty_out", 1): ("-",),
+    ("even", 1): ("+",),
+    ("odd", 1): ("+",),
+    ("one", 1): ("-",),
+    ("zero", 1): ("-",),
+    ("decrement", 2): ("+-", "-+"),
+    ("succ", 2): ("+-", "-+"),
+    ("geq", 2): ("++",),
+    ("append", 3): ("++-", "--+"),
+}
+
 
 # ---------------------------------------------------------------------------
 # Background knowledge
@@ -284,9 +319,19 @@ class BackgroundKnowledge:
     def known_predicates(self) -> set:
         return set(self._facts_by_pred) | set(self._rules_by_pred) | set(self.builtins)
 
+    def modes(self) -> dict:
+        """``BUILTIN_MODES`` of the default built-ins that run here: not
+        shadowed by facts or rules, nor replaced by another function.  Any
+        other predicate binds all of its arguments."""
+        return {key: BUILTIN_MODES[key] for key, fn in self.builtins.items()
+                if DEFAULT_BUILTINS.get(key) is fn and not self.defines(key)}
+
 
 class _Budget(Exception):
     pass
+
+
+_CHECK_EVERY = 4096  # steps between two looks at the clock
 
 
 def _walk(t):
@@ -306,10 +351,12 @@ class Evaluator:
     identical coverages."""
 
     def __init__(self, bk: BackgroundKnowledge, examples: ExampleSet,
-                 budget: EvalBudget | None = None):
+                 budget: EvalBudget | None = None, deadline: float | None = None):
         self.bk = bk
         self.examples = examples
         self.budget = budget or EvalBudget()
+        # a time.perf_counter() value
+        self.deadline = math.inf if deadline is None else deadline
         self.budget_exhausted = 0
         self._rule_cov: dict = {}
         self._known = bk.known_predicates()
@@ -427,8 +474,11 @@ class Evaluator:
         # are per compiled program and shared across its examples
         succ, fail = memo
         goal = ((example.pred, len(example.args)), example.args)
+        max_steps = self.budget.max_steps
         for depth in self.budget.depth_schedule():
-            steps = [self.budget.max_steps]
+            # [countdown to the next check, steps held in reserve]
+            first = min(_CHECK_EVERY, max_steps)
+            steps = [first, max_steps - first]
             try:
                 if self._solve(prog, (goal,), depth, [], succ, fail, steps):
                     return True
@@ -442,7 +492,7 @@ class Evaluator:
             return True
         steps[0] -= 1
         if steps[0] <= 0:
-            raise _Budget
+            self._check(steps)
         user_keys = self._user_keys
         builtins = self._builtins
         # select the first ready goal: user predicates are always ready, a
@@ -513,6 +563,18 @@ class Evaluator:
             self._undo(trail, mark)
             succ.add(gkey)
         return self._solve(prog, rest, depth, trail, succ, fail, steps)
+
+    def _check(self, steps) -> None:
+        """Runs when a countdown ends: the budget is spent when nothing is
+        left in reserve, and the search is over when the deadline has
+        passed; otherwise the next countdown starts."""
+        if steps[1] <= 0:
+            raise _Budget
+        if time.perf_counter() > self.deadline:
+            raise SearchTimeout
+        n = min(_CHECK_EVERY, steps[1])
+        steps[0] = n
+        steps[1] -= n
 
     def _resolve(self, prog, key, walked, rest, depth, trail, succ, fail, steps) -> bool:
         """Resolves the goal ``key(walked)`` against the facts, then the

@@ -1,12 +1,24 @@
 """Candidate enumeration: a declarative bias induces a finite rule space,
 and programs are yielded in strata of exactly the requested total size.
 
-A stratum of size S contains every canonical program whose rule sizes sum
-to S: single rules first, then multisets of 2..max_rules distinct rules
-(partitions in increasing order of their smallest part).  Within a rule
-pool the order puts rules that use every head variable, more distinct
-variables, and more distinct predicates first; the order is deterministic
-for a fixed bias.
+A stratum of size S contains every canonical program of usable rules whose
+rule sizes sum to S: single rules first, then multisets of 2..max_rules
+distinct rules (partitions in increasing order of their smallest part).
+Within a rule pool the order puts rules that use every head variable, more
+distinct variables, and more distinct predicates first; the order is
+deterministic for a fixed bias.
+
+A rule is usable unless it calls a target with an unbound argument.  The
+bound variables are the head's, closed under every non-recursive body
+literal that can run: a built-in with input modes (see
+``evaluate.BUILTIN_MODES``) runs once the ``+`` positions of one of its
+modes are bound, and any other predicate always runs.  A rule with a target
+literal is usable only when every variable of every target literal is
+bound; any other rule is usable.  So ``evens(A):- evens(B),tail(C,A),
+tail(C,B).`` is never yielded, though it stays in its pool, which is the
+parent set of the next size.  This narrows the bias space.  The rules it
+drops call their target with a free argument, and SLD resolution of such
+a call often recurses to the depth bound on every example.
 
 Constraint filtering happens at yield time.  A candidate is skipped when
 
@@ -31,7 +43,7 @@ from .constrain import ConstraintStore
 from .logic import Literal, Rule, Var, canonicalize
 from .parsing import ParseError, parse_directives
 
-__all__ = ["Bias", "BiasError", "GeneratorState", "enumerate_rules"]
+__all__ = ["Bias", "BiasError", "GeneratorState", "enumerate_rules", "usable"]
 
 
 class BiasError(ValueError):
@@ -352,18 +364,57 @@ def _partitions(total: int, max_rules: int, min_size: int, max_size: int):
     return res
 
 
+def _runs(lit: Literal, bound, modes) -> bool:
+    """True iff ``lit`` can run once ``bound`` are bound: it has no modes,
+    or one of its modes has each "+" argument bound or constant."""
+    lit_modes = modes.get((lit.pred, len(lit.args)))
+    return lit_modes is None or any(
+        all(m == "-" or not isinstance(a, Var) or a in bound
+            for m, a in zip(mode, lit.args))
+        for mode in lit_modes)
+
+
+def usable(rule: Rule, targets, modes) -> bool:
+    """True iff every variable of every target literal in the body of
+    ``rule`` is bound (see the module docstring).  ``modes`` maps a
+    predicate key to its modes, as in ``evaluate.BUILTIN_MODES``; a
+    predicate without modes binds all of its arguments."""
+    calls = [b for b in rule.body if (b.pred, len(b.args)) in targets]
+    if not calls:
+        return True
+    bound = {a for a in rule.head.args if isinstance(a, Var)}
+    waiting = [b for b in rule.body if b not in calls]
+    ran = True
+    while ran:
+        ran = [lit for lit in waiting if _runs(lit, bound, modes)]
+        for lit in ran:
+            waiting.remove(lit)
+            bound.update(a for a in lit.args if isinstance(a, Var))
+    return all(a in bound for b in calls for a in b.args if isinstance(a, Var))
+
+
 class GeneratorState:
     """Iterates the program space stratum by stratum, skipping hypotheses
     pruned by the constraint store at yield time.  The store may grow
     between yields; pruned-singleton flags are sticky and re-checked
-    incrementally as constraints arrive."""
+    incrementally as constraints arrive.
+
+    ``modes`` holds the built-ins' input modes, as given by
+    ``BackgroundKnowledge.modes``; by default every predicate binds all of
+    its arguments."""
 
     def __init__(self, bias: Bias, store: ConstraintStore,
-                 deadline_check=None):
+                 deadline_check=None, modes=None):
         self.bias = bias
         self.store = store
         self.deadline_check = deadline_check
+        self.modes = modes or {}
+        templates = set(bias.body_preds)
+        if bias.allow_recursion:
+            templates.update(bias.targets)
+        self._calls = set(bias.targets) & templates
         self._pools: dict = {}
+        self._usable: dict = {}
         self._flags: dict = {}  # Rule -> [spec, gen, watermark]
         self._iter = None
         self._iter_size = None
@@ -378,6 +429,17 @@ class GeneratorState:
                                    self.deadline_check)
             self._pools[rule_sz] = pool
         return pool
+
+    def usable_pool(self, rule_sz: int):
+        """The usable rules of ``pool(rule_sz)``, in pool order: the pool
+        itself when no body literal can call a target."""
+        out = self._usable.get(rule_sz)
+        if out is None:
+            out = pool = self.pool(rule_sz)
+            if self._calls:
+                out = [r for r in pool if usable(r, self._calls, self.modes)]
+            self._usable[rule_sz] = out
+        return out
 
     def _rule_flags(self, rule: Rule):
         entry = self._flags.get(rule)
@@ -415,7 +477,7 @@ class GeneratorState:
                     groups.append(last)
             pools = []
             for s, mult in groups:
-                p = self.pool(s)
+                p = self.usable_pool(s)
                 if len(p) < mult:
                     ok = False
                     break

@@ -23,6 +23,7 @@ from .evaluate import (
     EvalBudget,
     Evaluator,
     ExampleSet,
+    SearchTimeout,
     mdl_cost,
 )
 from .generate import Bias, GeneratorState
@@ -36,10 +37,6 @@ from .logic import (
 
 __all__ = ["SearchConfig", "SearchStats", "SearchState", "learn",
            "loop_invariant_check"]
-
-
-class SearchTimeout(Exception):
-    pass
 
 
 @dataclass
@@ -164,7 +161,7 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
     _validate(bk, examples, bias)
     t0 = time.perf_counter()
     deadline = t0 + config.timeout
-    ev = Evaluator(bk, examples, config.budget)
+    ev = Evaluator(bk, examples, config.budget, deadline)
     stats = SearchStats()
     store = ConstraintStore()
     num_pos = examples.num_pos
@@ -173,7 +170,8 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
         if time.perf_counter() > deadline:
             raise SearchTimeout
 
-    gen = GeneratorState(bias, store, deadline_check=deadline_check)
+    gen = GeneratorState(bias, store, deadline_check=deadline_check,
+                         modes=bk.modes())
     pool = PromisingPool(bias.targets)
 
     best: Hypothesis = frozenset()

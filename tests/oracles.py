@@ -192,16 +192,49 @@ def brute_canonical_key(rule: Rule):
     return best
 
 
+def naive_usable(rule: Rule, targets, modes) -> bool:
+    """Some order of the body reaches every target literal with all its
+    variables bound, running each literal before it: a predicate with
+    ``modes`` only in a mode whose "+" positions are bound, any other
+    predicate always.  Literals bind all their variables once run."""
+    calls = [b for b in rule.body if (b.pred, len(b.args)) in targets]
+    if not calls:
+        return True
+    head_vars = {a for a in rule.head.args if isinstance(a, Var)}
+    for order in permutations(rule.body):
+        bound = set(head_vars)
+        reached = 0
+        for lit in order:
+            key = (lit.pred, len(lit.args))
+            if key in targets:
+                if any(isinstance(a, Var) and a not in bound for a in lit.args):
+                    break
+                reached += 1
+                if reached == len(calls):
+                    return True
+            elif key in modes and not any(
+                    all(a in bound for m, a in zip(mode, lit.args)
+                        if m == "+" and isinstance(a, Var))
+                    for mode in modes[key]):
+                break
+            bound.update(a for a in lit.args if isinstance(a, Var))
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive optima
 # ---------------------------------------------------------------------------
 
-def exhaustive_space(bias, max_program_size=None):
+def exhaustive_space(bias, max_program_size=None, modes=None):
     """Every hypothesis of the bias space (up to max_rules rules), via the
-    package enumerator's pools being regenerated here naively."""
+    package enumerator's pools being regenerated here naively.  A rule
+    enters only when ``naive_usable`` under ``modes`` (none: every
+    predicate binds all its arguments)."""
     from mdlsynth.logic import canonicalize
 
     max_program_size = max_program_size or bias.max_program_size
+    modes = modes or {}
+    targets = set(bias.targets)
     rules = []
     for size in range(2, bias.max_rule_size + 1):
         templates = _naive_templates(bias)
@@ -220,6 +253,8 @@ def exhaustive_space(bias, max_program_size=None):
                 if key in seen:
                     continue
                 seen.add(key)
+                if not naive_usable(Rule(head, frozenset(combo)), targets, modes):
+                    continue
                 rules.append(canonicalize(Rule(head, frozenset(combo))))
     space = [frozenset()]
     for r in rules:
@@ -240,9 +275,9 @@ def exhaustive_min_cost(bias, bk_facts, bk_rules, examples, constants):
     from mdlsynth.logic import prog_size
 
     best = examples.num_pos  # the empty hypothesis
-    for h in exhaustive_space(bias):
-        if not h:
-            continue
+    for h in sorted(exhaustive_space(bias), key=prog_size):
+        if prog_size(h) >= best:
+            break  # cost is at least size
         pos, neg = fixpoint_coverage(bk_facts, bk_rules, h, examples, constants)
         fn = examples.num_pos - pos.bit_count()
         cost = prog_size(h) + fn + neg.bit_count()

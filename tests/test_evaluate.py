@@ -1,18 +1,28 @@
+import math
 import random
+import time
+from itertools import combinations
 
 import pytest
 
+from mdlsynth import evaluate
 from mdlsynth.evaluate import (
+    BUILTIN_MODES,
+    DEFAULT_BUILTINS,
     BackgroundKnowledge,
     Coverage,
     EngineError,
     EvalBudget,
     Evaluator,
     ExampleSet,
+    SearchTimeout,
+    _FVar,
     mdl_cost,
 )
 from mdlsynth.logic import Literal, Var, program_subsumes, prog_size
 from mdlsynth.parsing import parse_ground_atom, parse_rules
+
+from mdlsynth.tasks import generate_task
 
 from .helpers import random_hypothesis, tiny_task
 from .oracles import fixpoint_coverage
@@ -264,6 +274,103 @@ class TestBudget:
         # geq can never run: B is never bound
         h = prog("f(A):- head(A,B),geq(B,C).")
         assert ev.test(h).tp == 0
+
+
+class TestDeadline:
+    def test_stops_a_program_that_exhausts_every_budget(self):
+        # the second rule swaps the lists, so SLD resolution runs every
+        # example to its step budget, twice
+        task = generate_task("dropk", 40, 0)
+        h = prog("dropk(A,B,C):- decrement(B,D),dropk(A,D,C)."
+                 "dropk(A,B,C):- dropk(C,B,A).")
+        deadline = time.perf_counter() + 0.5
+        ev = Evaluator(task.bk, task.train, deadline=deadline)
+        with pytest.raises(SearchTimeout):
+            ev.test(h)
+        assert time.perf_counter() < deadline + 0.5
+
+    @staticmethod
+    def _join_task():
+        # a three-hop join over 20 x 20 facts takes 8,000 steps an example
+        consts = range(20)
+        facts = [Literal("q", (a, b)) for a in consts for b in consts]
+        bk = BackgroundKnowledge(facts + [Literal("p", ("x",))], builtins={})
+        ex = ExampleSet((atom("f(0)"), atom("f(1)")), (atom("f(2)"),))
+        return bk, ex, prog("f(A):- q(A,B),q(B,C),q(C,D),p(D).")
+
+    def test_timeout_caches_no_partial_coverage(self):
+        bk, ex, h = self._join_task()
+        ev = Evaluator(bk, ex, deadline=time.perf_counter() - 1)
+        with pytest.raises(SearchTimeout):
+            ev.test(h)
+        ev.deadline = math.inf
+        assert ev.test(h) == Evaluator(bk, ex).test(h)
+
+    def test_clock_checks_keep_the_step_budget(self, monkeypatch):
+        # the budget ends at the same step however often the clock is read
+        bk, ex, h = self._join_task()
+
+        def exhausted(max_steps):
+            ev = Evaluator(bk, ExampleSet(ex.pos[:1], ()),
+                           EvalBudget(max_depth=8, max_steps=max_steps),
+                           deadline=time.perf_counter() + 60)
+            ev.test(h)
+            return ev.budget_exhausted
+
+        monkeypatch.setattr(evaluate, "_CHECK_EVERY", 10**9)
+        lo, hi = 1, 20_000  # the last budget that runs out, the first that does not
+        assert exhausted(lo) and not exhausted(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if exhausted(mid) else (lo, mid)
+        assert hi > 4096
+        for every in (1, 7, 4096):
+            monkeypatch.setattr(evaluate, "_CHECK_EVERY", every)
+            assert exhausted(lo) == 1 and exhausted(hi) == 0, every
+
+
+class TestModes:
+    # ground arguments each built-in accepts, one per position
+    SAMPLES = {
+        ("head", 2): ((1, 2), 1),
+        ("tail", 2): ((1, 2), (2,)),
+        ("empty", 1): ((),),
+        ("empty_out", 1): ((),),
+        ("even", 1): (2,),
+        ("odd", 1): (1,),
+        ("one", 1): (1,),
+        ("zero", 1): (0,),
+        ("decrement", 2): (3, 2),
+        ("succ", 2): (2, 3),
+        ("geq", 2): (3, 2),
+        ("append", 3): ((1,), 2, (1, 2)),
+    }
+
+    def test_modes_agree_with_functions(self):
+        assert set(BUILTIN_MODES) == set(DEFAULT_BUILTINS) == set(self.SAMPLES)
+        for key, modes in BUILTIN_MODES.items():
+            fn, sample = DEFAULT_BUILTINS[key], self.SAMPLES[key]
+            assert all(len(m) == key[1] and set(m) <= {"+", "-"} for m in modes)
+            for n in range(key[1] + 1):
+                for bound in combinations(range(key[1]), n):
+                    args = tuple(v if i in bound else _FVar()
+                                 for i, v in enumerate(sample))
+                    runs = any(all(i in bound for i, m in enumerate(mode) if m == "+")
+                               for mode in modes)
+                    got = fn(args)
+                    assert (got is not None) == runs, (key, bound, got)
+
+    def test_modes_only_for_default_builtins_that_run(self):
+        assert BackgroundKnowledge().modes() == BUILTIN_MODES
+        shadowed = BackgroundKnowledge(facts=[Literal("tail", ((1,), ()))])
+        assert ("tail", 2) not in shadowed.modes()
+        assert ("head", 2) in shadowed.modes()
+        ruled = BackgroundKnowledge.from_source("head(A,B):- tail(A,B).")
+        assert ("head", 2) not in ruled.modes()
+        custom = BackgroundKnowledge(
+            builtins={**DEFAULT_BUILTINS, ("tail", 2): lambda args: []})
+        assert ("tail", 2) not in custom.modes()
+        assert BackgroundKnowledge(builtins={}).modes() == {}
 
 
 class TestBuiltins:

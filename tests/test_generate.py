@@ -8,11 +8,18 @@ import pytest
 
 import mdlsynth
 from mdlsynth.constrain import ConstraintStore, Kind, NoisyConstraint
-from mdlsynth.generate import Bias, BiasError, GeneratorState, enumerate_rules
-from mdlsynth.logic import prog_size, program_subsumes
+from mdlsynth.evaluate import BackgroundKnowledge
+from mdlsynth.generate import Bias, BiasError, GeneratorState, enumerate_rules, usable
+from mdlsynth.logic import Literal, prog_size, program_subsumes
 from mdlsynth.parsing import parse_rules
+from mdlsynth.tasks import _GT, generate_task
 
-from .oracles import brute_canonical_key, naive_enumerate_rules
+from .oracles import (
+    brute_canonical_key,
+    exhaustive_space,
+    naive_enumerate_rules,
+    naive_usable,
+)
 
 SMALL_BIAS = Bias(
     targets=[("f", 1)],
@@ -122,6 +129,68 @@ class TestEnumerateRules:
         assert all(r.body != frozenset((r.head,)) for r in rules)
 
 
+class TestUsable:
+    def test_family_targets_are_usable(self):
+        for family, source in _GT.items():
+            task = generate_task(family, 10, 0)
+            targets = set(task.bias.targets)
+            for rule in parse_rules(source):
+                assert usable(rule, targets, task.bk.modes()), (family, rule)
+
+    @pytest.mark.parametrize("text", [
+        "evens(A):- evens(B),tail(C,A),tail(C,B).",
+        "evens(A):- evens(B),head(A,C),head(B,C).",
+    ])
+    def test_evens_rules_with_unbound_call_rejected(self, text):
+        task = generate_task("evens", 10, 0)
+        gen = GeneratorState(task.bias, ConstraintStore(),
+                             modes=task.bk.modes())
+        (rule,) = parse_rules(text)
+        assert rule in gen.pool(4)
+        assert rule not in gen.usable_pool(4)
+
+    @pytest.mark.parametrize("bk", [
+        BackgroundKnowledge(facts=[Literal("tail", ((1, 2), (2,)))]),
+        BackgroundKnowledge(builtins={}),
+    ], ids=["tail_facts", "no_builtins"])
+    def test_modeless_tail_rejects_only_free_call_variables(self, bk):
+        # with no modes for tail, a rule is rejected exactly when a target
+        # literal has a variable that only target literals mention
+        bias = Bias(targets=[("f", 2)], body_preds=[("tail", 2)], max_vars=4,
+                    max_body=3, max_rules=1, allow_recursion=True)
+        targets = set(bias.targets)
+        gen = GeneratorState(bias, ConstraintStore(), modes=bk.modes())
+        rejected = 0
+        for size in (2, 3, 4):
+            for rule in gen.pool(size):
+                calls = [b for b in rule.body if (b.pred, b.arity) in targets]
+                others = [rule.head] + [b for b in rule.body if b not in calls]
+                mentioned = {a for lit in others for a in lit.args}
+                free = any(a not in mentioned for b in calls for a in b.args)
+                assert (rule in gen.usable_pool(size)) == (not free), rule
+                assert naive_usable(rule, targets, bk.modes()) == (not free)
+                rejected += free
+        assert rejected
+        assert parse_rules("f(A,B):- tail(C,A),f(C,B).")[0] in gen.usable_pool(3)
+
+    def test_agrees_with_naive_usable(self):
+        task = generate_task("dropk", 10, 0)
+        targets = set(task.bias.targets)
+        gen = GeneratorState(task.bias, ConstraintStore(),
+                             modes=task.bk.modes())
+        for size in (2, 3, 4):
+            pool = gen.pool(size)
+            want = [r for r in pool if naive_usable(r, targets, task.bk.modes())]
+            assert gen.usable_pool(size) == want, size
+            assert len(want) < len(pool)
+
+    def test_bias_without_recursion_uses_the_pool_itself(self):
+        task = generate_task("zendo1", 10, 0)
+        gen = GeneratorState(task.bias, ConstraintStore(),
+                             modes=task.bk.modes())
+        assert gen.usable_pool(3) is gen.pool(3)
+
+
 class TestBiasValidation:
     def test_max_vars_must_cover_target_arity(self):
         with pytest.raises(BiasError):
@@ -159,22 +228,20 @@ class TestNextProgram:
         assert gen.next_program(2) is None
 
     def test_completeness_with_empty_store(self):
-        # the union over strata equals the full canonical space
-        gen = GeneratorState(SMALL_BIAS, ConstraintStore())
+        # the union over strata equals the canonical space of usable rules,
+        # rebuilt independently: naive enumeration, and the permutation
+        # search of naive_usable for the modes
+        modes = BackgroundKnowledge().modes()
+        gen = GeneratorState(SMALL_BIAS, ConstraintStore(), modes=modes)
         seen = set()
         for size in range(2, 7):
             seen.update(drain(gen, size))
-        # independent reconstruction: all single rules and pairs
-        rules = []
-        for s in (2, 3, 4):
-            rules.extend(enumerate_rules(SMALL_BIAS, s))
-        want = {frozenset((r,)) for r in rules if prog_size(frozenset((r,))) <= 6}
-        for i in range(len(rules)):
-            for j in range(i + 1, len(rules)):
-                h = frozenset((rules[i], rules[j]))
-                if len(h) == 2 and prog_size(h) <= 6:
-                    want.add(h)
+        want = {h for h in exhaustive_space(SMALL_BIAS, 6, modes) if h}
         assert seen == want
+        # the modes narrow the space: tail(B,A) never binds B
+        unbound = frozenset(parse_rules("f(A):- tail(B,A),f(B)."))
+        assert unbound not in seen
+        assert unbound in drain(GeneratorState(SMALL_BIAS, ConstraintStore()), 3)
 
     def test_specialisation_constraint_filters(self):
         anchor = frozenset(parse_rules("f(A):- head(A,1)."))

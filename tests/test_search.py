@@ -5,7 +5,7 @@ import pytest
 
 from mdlsynth.evaluate import BackgroundKnowledge, EvalBudget, Evaluator, ExampleSet, mdl_cost
 from mdlsynth.generate import Bias
-from mdlsynth.logic import Literal, prog_size
+from mdlsynth.logic import Literal, is_recursive, prog_size
 from mdlsynth.parsing import parse_ground_atom, parse_rules
 from mdlsynth.search import SearchConfig, SearchState, learn, loop_invariant_check
 from mdlsynth.tasks import generate_task
@@ -133,6 +133,26 @@ class TestOracleEquality:
             ev = Evaluator(bk, ex)
             assert mdl_cost(h, ev.test(h)) == stats.best_cost
 
+    def test_learn_matches_exhaustive_minimum_on_recursive_optimum(self):
+        # reachability along the chain a->b->c->d->e: only a base rule plus
+        # a recursive rule covers all ten reachable pairs and nothing else
+        nodes = "abcde"
+        facts = [Literal("edge", (x, y)) for x, y in zip(nodes, nodes[1:])]
+        bk = BackgroundKnowledge(facts=facts, builtins={})
+        ex = ExampleSet(
+            tuple(Literal("path", (x, y)) for i, x in enumerate(nodes)
+                  for y in nodes[i + 1:]),
+            tuple(Literal("path", (x, y)) for i, x in enumerate(nodes)
+                  for y in nodes[:i + 1]))
+        bias = Bias(targets=[("path", 2)], body_preds=[("edge", 2)],
+                    max_vars=3, max_body=2, max_rules=2, allow_recursion=True)
+        h, stats = learn(bk, ex, bias, SearchConfig(timeout=30))
+        assert stats.completed
+        assert stats.best_cost == 5
+        assert stats.best_cost == exhaustive_min_cost(bias, bk.facts, bk.rules,
+                                                      ex, tuple(nodes))
+        assert len(h) == 2 and is_recursive(h)
+
     def test_constraints_do_not_change_the_result(self):
         rng = random.Random(89)
         for trial in range(15):
@@ -205,3 +225,16 @@ class TestTimeout:
         t0 = time.perf_counter()
         learn(task.bk, task.train, task.bias, SearchConfig(timeout=1))
         assert time.perf_counter() - t0 < 2.0
+
+    @pytest.mark.parametrize("family, n, noise, timeout", [
+        ("evens", 30, 0.1, 2),
+        ("dropk", 40, 0.0, 2),
+    ])
+    def test_timeout_bounds_test(self, family, n, noise, timeout):
+        # these calls reach programs whose test runs every example to its
+        # step budget, so only the deadline inside SLD resolution stops them
+        # (evens ran past 20 s when test did not check it)
+        task = generate_task(family, n, 0).with_noise(noise, 0)
+        t0 = time.perf_counter()
+        learn(task.bk, task.train, task.bias, SearchConfig(timeout=timeout))
+        assert time.perf_counter() - t0 < timeout + 0.5
