@@ -24,10 +24,11 @@ admissible lower bound, so the returned cost is provably minimal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .logic import Hypothesis, has_invented, is_recursive, prog_size
-from .evaluate import Coverage, ExampleSet
+from .evaluate import Coverage, ExampleSet, check_deadline
 
 __all__ = [
     "PoolEntry",
@@ -156,10 +157,13 @@ def build_instance(pool: PromisingPool, examples: ExampleSet) -> CombineInstance
     return CombineInstance(tuple(pool.entries), examples.num_pos, examples.num_neg)
 
 
-def solve(pool: PromisingPool, examples: ExampleSet, ub: int):
+def solve(pool: PromisingPool, examples: ExampleSet, ub: int,
+          deadline: float = math.inf):
     """Minimum-cost selection from the pool, or None when every selection
     (including the empty one, whose cost is |E+|) costs more than ``ub``.
-    Exact and deterministic."""
+    Exact and deterministic.  The ``time.perf_counter()`` ``deadline`` is
+    checked on the first node and then once every 1,024 nodes; passing it
+    raises ``SearchTimeout``."""
     num_pos = examples.num_pos
     if ub < 0:
         return None
@@ -180,9 +184,13 @@ def solve(pool: PromisingPool, examples: ExampleSet, ub: int):
         best_sel = ()
 
     sel: list = []
+    nodes = 0
 
     def rec(start: int, pos: int, neg: int, ssum: int):
-        nonlocal best_cost, best_sel
+        nonlocal best_cost, best_sel, nodes
+        if not nodes & 1023:
+            check_deadline(deadline)
+        nodes += 1
         cur = ssum + (num_pos - pos.bit_count()) + neg.bit_count()
         if cur < best_cost:
             best_cost = cur

@@ -16,11 +16,13 @@ Bounds at or above the search's maximum reachable program size prune
 nothing and are dropped.
 
 The store additionally answers, per single rule r, whether the singleton
-{r} is pruned.  The search uses that to skip r when assembling larger
-programs; for the specialisation kind this is only sound when the assembled
-program is separable (coverage of a separable program is the union of its
-rules' coverages, so the subset arguments go through), so the two kinds are
-reported separately.
+{r} is pruned, with the two kinds reported separately.  The generator
+skips the singleton when either kind prunes it.  It also skips every
+recursive program with r as a rule when the generalisation kind prunes
+{r}.  A specialisation-pruned singleton prunes only the singleton itself:
+a base case adds proofs that r lacks alone, so r can still belong to an
+optimal recursive program, and separable programs are built by combine
+from tested singletons only.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class ConstraintStore:
         self._by_key: dict = {}
         self._rids: dict = {}
         self._rules: list = []
-        self._rule_meta: list = []  # (head key, body pred frozenset, body len)
+        self._rule_meta: list = []  # (head key, body pred frozenset)
         self._spec_of_rid: dict = {}
         self._gen_of_rid: dict = {}
         # candidate caches: Rule -> [set of rids, processed-upto]
@@ -155,13 +157,10 @@ class ConstraintStore:
             rid = len(self._rules)
             self._rids[rule] = rid
             self._rules.append(rule)
-            self._rule_meta.append(
-                (
-                    (rule.head.pred, rule.head.arity),
-                    frozenset((b.pred, b.arity) for b in rule.body),
-                    len(rule.body),
-                )
-            )
+            self._rule_meta.append((
+                (rule.head.pred, rule.head.arity),
+                frozenset((b.pred, b.arity) for b in rule.body),
+            ))
         return rid
 
     # ---- candidate-rule relation caches ----------------------------------
@@ -178,7 +177,7 @@ class ConstraintStore:
             hkey = (rule.head.pred, rule.head.arity)
             bpreds = frozenset((b.pred, b.arity) for b in rule.body)
             for rid in range(upto, n):
-                mh, mb, _ml = self._rule_meta[rid]
+                mh, mb = self._rule_meta[rid]
                 # note: subsumption may merge literals, so no length filter
                 if mh == hkey and mb <= bpreds:
                     if clause_subsumes(self._rules[rid], rule):
@@ -198,7 +197,7 @@ class ConstraintStore:
             hkey = (rule.head.pred, rule.head.arity)
             bpreds = frozenset((b.pred, b.arity) for b in rule.body)
             for rid in range(upto, n):
-                mh, mb, _ml = self._rule_meta[rid]
+                mh, mb = self._rule_meta[rid]
                 if mh == hkey and bpreds <= mb:
                     if clause_subsumes(rule, self._rules[rid]):
                         rids.add(rid)

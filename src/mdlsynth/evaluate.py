@@ -16,8 +16,8 @@ The decision procedure is top-down SLD-style resolution with:
   built-in invoked with insufficiently instantiated arguments is deferred
   until other goals have bound more variables; if no goal can run, the
   branch fails,
-* an optional wall-clock deadline, checked every 4,096 steps by the same
-  countdown that enforces the step budget; passing it raises
+* a wall-clock deadline (none by default), checked every 4,096 steps by
+  the same countdown that enforces the step budget; passing it raises
   ``SearchTimeout`` and caches no partial coverage.
 
 ``BUILTIN_MODES`` states, for each default built-in, the input modes in
@@ -55,6 +55,7 @@ __all__ = [
     "DEFAULT_BUILTINS",
     "BUILTIN_MODES",
     "SearchTimeout",
+    "check_deadline",
 ]
 
 
@@ -64,6 +65,14 @@ class EngineError(ValueError):
 
 class SearchTimeout(Exception):
     """The search's wall-clock deadline passed."""
+
+
+def check_deadline(deadline: float) -> None:
+    """Raises ``SearchTimeout`` once ``time.perf_counter()`` has passed
+    ``deadline``.  Every stage of the search takes its deadline in this
+    form; ``math.inf`` means none."""
+    if time.perf_counter() > deadline:
+        raise SearchTimeout
 
 
 @dataclass(frozen=True)
@@ -351,12 +360,11 @@ class Evaluator:
     identical coverages."""
 
     def __init__(self, bk: BackgroundKnowledge, examples: ExampleSet,
-                 budget: EvalBudget | None = None, deadline: float | None = None):
+                 budget: EvalBudget | None = None, deadline: float = math.inf):
         self.bk = bk
         self.examples = examples
         self.budget = budget or EvalBudget()
-        # a time.perf_counter() value
-        self.deadline = math.inf if deadline is None else deadline
+        self.deadline = deadline  # a time.perf_counter() value
         self.budget_exhausted = 0
         self._rule_cov: dict = {}
         self._known = bk.known_predicates()
@@ -570,8 +578,7 @@ class Evaluator:
         passed; otherwise the next countdown starts."""
         if steps[1] <= 0:
             raise _Budget
-        if time.perf_counter() > self.deadline:
-            raise SearchTimeout
+        check_deadline(self.deadline)
         n = min(_CHECK_EVERY, steps[1])
         steps[0] = n
         steps[1] -= n

@@ -1,12 +1,16 @@
 """Candidate enumeration: a declarative bias induces a finite rule space,
 and programs are yielded in strata of exactly the requested total size.
 
-A stratum of size S contains every canonical program of usable rules whose
-rule sizes sum to S: single rules first, then multisets of 2..max_rules
-distinct rules (partitions in increasing order of their smallest part).
-Within a rule pool the order puts rules that use every head variable, more
-distinct variables, and more distinct predicates first; the order is
-deterministic for a fixed bias.
+A stratum of size S holds two kinds of program.  First come the usable
+rules of size S, each alone, in pool order.  Then, only when some body
+literal can call a target, come the recursive programs of 2..max_rules
+distinct usable rules whose sizes sum to S (partitions by number of parts,
+then part by part).  A separable program, one where no rule calls another,
+is never yielded: its coverage is the union of its rules' coverages, so
+the search builds every such union from the tested single rules with
+``combine.solve``, which is exact.  Within a rule pool the order puts rules
+that use every head variable, more distinct variables, and more distinct
+predicates first; the order is deterministic for a fixed bias.
 
 A rule is usable unless it calls a target with an unbound argument.  The
 bound variables are the head's, closed under every non-recursive body
@@ -20,27 +24,28 @@ parent set of the next size.  This narrows the bias space.  The rules it
 drops call their target with a free argument, and SLD resolution of such
 a call often recurses to the depth bound on every example.
 
-Constraint filtering happens at yield time.  A candidate is skipped when
+Constraint filtering happens at yield time.  A single rule is skipped when
+its singleton is pruned by a stored constraint of either kind.  A recursive
+program is skipped when
 
-* the whole program violates a stored constraint (sound for any program),
 * some member rule's singleton is pruned by a generalisation-kind
   constraint (sound for any assembly), or
-* the assembly is separable and some member rule's singleton is pruned by
-  a specialisation-kind constraint (sound only there: separable coverage
-  is the union of member coverages).
+* the whole program violates a stored constraint (sound for any program).
 
-Recursive assemblies deliberately skip the last rule: a base case adds
-proofs that no constituent has alone, so a specialisation-pruned singleton
-can still belong to an optimal recursive program.
+A specialisation-pruned singleton does not rule out a recursive program:
+a base case adds proofs that no constituent has alone, so such a rule can
+still belong to an optimal recursive program.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
 from .constrain import ConstraintStore
-from .logic import Literal, Rule, Var, canonicalize
+from .evaluate import check_deadline
+from .logic import Literal, Rule, Var, canonicalize, is_separable
 from .parsing import ParseError, parse_directives
 
 __all__ = ["Bias", "BiasError", "GeneratorState", "enumerate_rules", "usable"]
@@ -213,14 +218,15 @@ def _pool_order_key(bias: Bias, rule: Rule):
 
 
 def enumerate_rules(bias: Bias, rule_size: int, parents=None,
-                    deadline_check=None) -> list:
+                    deadline: float = math.inf) -> list:
     """Every canonical rule of exactly ``rule_size`` literals admitted by the
     bias: target head with distinct fresh variables, head-connected body
     without duplicate literals, at most max_vars variables, type-consistent,
     and no body literal equal to the head.  Deterministically ordered.
 
     ``parents`` is the pool one size smaller (built here when not given);
-    ``deadline_check`` is called once per parent rule.
+    the ``time.perf_counter()`` ``deadline`` is checked once per parent
+    rule.
 
     Each rule is a parent extended by one template literal, which is
     complete: in a head-connected body, a leaf of a breadth-first tree
@@ -247,7 +253,7 @@ def enumerate_rules(bias: Bias, rule_size: int, parents=None,
                         frozenset())
                    for name, arity in bias.targets]
     elif parents is None:
-        parents = enumerate_rules(bias, rule_size - 1)
+        parents = enumerate_rules(bias, rule_size - 1, None, deadline)
     templates = []  # (index, literal, types of its variables)
     for lit in literal_templates(bias):
         types = _var_types(bias, (lit,))
@@ -267,8 +273,7 @@ def enumerate_rules(bias: Bias, rule_size: int, parents=None,
     out = []
     seen = set()
     for parent in parents:
-        if deadline_check is not None:
-            deadline_check()
+        check_deadline(deadline)
         head, body = parent.head, parent.body
         head_id = index.get(head)
         siblings = known[head]
@@ -341,13 +346,13 @@ def _diagonal_picks(groups):
 
 
 def _partitions(total: int, max_rules: int, min_size: int, max_size: int):
-    """Rule-size partitions of ``total`` as non-decreasing tuples, singles
-    first, then multi-rule partitions by first part ascending."""
+    """Rule-size partitions of ``total`` into two parts or more, as
+    non-decreasing tuples, by number of parts and then part by part."""
     res = []
 
     def rec(remaining, parts, lo):
         if remaining == 0:
-            if parts:
+            if len(parts) > 1:
                 res.append(tuple(parts))
             return
         if len(parts) == max_rules:
@@ -399,15 +404,16 @@ class GeneratorState:
     between yields; pruned-singleton flags are sticky and re-checked
     incrementally as constraints arrive.
 
-    ``modes`` holds the built-ins' input modes, as given by
-    ``BackgroundKnowledge.modes``; by default every predicate binds all of
-    its arguments."""
+    ``deadline`` is a ``time.perf_counter()`` value, checked once per
+    parent rule of a pool build and once per candidate.  ``modes`` holds
+    the built-ins' input modes, as given by ``BackgroundKnowledge.modes``;
+    by default every predicate binds all of its arguments."""
 
     def __init__(self, bias: Bias, store: ConstraintStore,
-                 deadline_check=None, modes=None):
+                 deadline: float = math.inf, modes=None):
         self.bias = bias
         self.store = store
-        self.deadline_check = deadline_check
+        self.deadline = deadline
         self.modes = modes or {}
         templates = set(bias.body_preds)
         if bias.allow_recursion:
@@ -425,8 +431,7 @@ class GeneratorState:
         pool = self._pools.get(rule_sz)
         if pool is None:
             parents = self.pool(rule_sz - 1) if rule_sz > 2 else None
-            pool = enumerate_rules(self.bias, rule_sz, parents,
-                                   self.deadline_check)
+            pool = enumerate_rules(self.bias, rule_sz, parents, self.deadline)
             self._pools[rule_sz] = pool
         return pool
 
@@ -464,7 +469,16 @@ class GeneratorState:
 
     def _stratum(self, size: int):
         bias = self.bias
-        targets = set(bias.targets)
+        for rule in self.usable_pool(size):
+            self.candidates_seen += 1
+            check_deadline(self.deadline)
+            flags = self._rule_flags(rule)
+            if flags[0] or flags[1]:
+                self.candidates_pruned += 1
+            else:
+                yield frozenset((rule,))
+        if not self._calls:
+            return
         for parts in _partitions(size, bias.max_rules, 2, bias.max_rule_size):
             groups: list = []
             ok = True
@@ -486,34 +500,16 @@ class GeneratorState:
                 continue
             for pick in _diagonal_picks([(len(p), m) for p, m in pools]):
                 self.candidates_seen += 1
-                if self.deadline_check is not None:
-                    self.deadline_check()
+                check_deadline(self.deadline)
                 rules = tuple(
                     pools[g][0][i]
                     for g, idxs in enumerate(pick)
                     for i in idxs
                 )
-                h = self._filter(rules, size, targets)
-                if h is not None:
+                h = frozenset(rules)
+                if (is_separable(h)
+                        or any(self._rule_flags(r)[1] for r in rules)
+                        or self.store.violates(rules, size)):
+                    self.candidates_pruned += 1
+                else:
                     yield h
-
-    def _filter(self, rules, size, targets):
-        recursive = any(
-            (b.pred, b.arity) in targets for r in rules for b in r.body
-        )
-        if len(rules) == 1:
-            flags = self._rule_flags(rules[0])
-            if flags[0] or flags[1]:
-                self.candidates_pruned += 1
-                return None
-            return frozenset(rules)
-        separable = not recursive
-        for r in rules:
-            flags = self._rule_flags(r)
-            if flags[1] or (separable and flags[0]):
-                self.candidates_pruned += 1
-                return None
-        if self.store.violates(rules, size):
-            self.candidates_pruned += 1
-            return None
-        return frozenset(rules)

@@ -1,13 +1,17 @@
 """The anytime outer loop: generate, test, combine, constrain.
 
 Starting from the empty hypothesis (cost |E+|), programs are generated in
-increasing size.  Every tested program that beats the best cost becomes the
-best solution and tightens max_mdl to cost - 1; every tested, partially
-complete, non-recursive, non-invented program enters the promising pool and
-triggers an exact combination search bounded by max_mdl; every tested
-program contributes pruning constraints.  The loop ends when the stratum
-size exceeds max_mdl, when the bias space is exhausted, or at the timeout,
-and returns the best hypothesis found.
+increasing size: single rules and recursive programs (see ``generate``).
+Every tested program that beats the best cost becomes the best solution
+and tightens max_mdl to cost - 1; every tested, partially complete,
+non-recursive, non-invented program enters the promising pool and triggers
+an exact combination search bounded by max_mdl.  Combine is the only path
+to a union of rules: the generator never yields a separable program.
+Every tested program contributes pruning constraints.  The loop ends when
+the stratum size exceeds max_mdl, when the bias space is exhausted, or at
+the timeout, and returns the best hypothesis found.  The timeout is one
+``time.perf_counter()`` deadline, which generate, test and combine each
+check, raising ``SearchTimeout``.
 """
 
 from __future__ import annotations
@@ -165,13 +169,7 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
     stats = SearchStats()
     store = ConstraintStore()
     num_pos = examples.num_pos
-
-    def deadline_check():
-        if time.perf_counter() > deadline:
-            raise SearchTimeout
-
-    gen = GeneratorState(bias, store, deadline_check=deadline_check,
-                         modes=bk.modes())
+    gen = GeneratorState(bias, store, deadline, bk.modes())
     pool = PromisingPool(bias.targets)
 
     best: Hypothesis = frozenset()
@@ -199,7 +197,7 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
 
     def run_combine():
         stats.combine_calls += 1
-        result = stage("combine", solve, pool, examples, max_mdl)
+        result = stage("combine", solve, pool, examples, max_mdl, deadline)
         if result is None:
             return
         union = decode(result)
@@ -212,7 +210,6 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
 
     try:
         while size <= max_mdl and size <= bias.max_program_size:
-            deadline_check()
             if config.trace and announced != size:
                 print(f"Searching programs of size: {size}")
                 announced = size

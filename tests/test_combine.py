@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -9,7 +10,13 @@ from mdlsynth.combine import (
     decode,
     solve,
 )
-from mdlsynth.evaluate import BackgroundKnowledge, Coverage, Evaluator, ExampleSet
+from mdlsynth.evaluate import (
+    BackgroundKnowledge,
+    Coverage,
+    Evaluator,
+    ExampleSet,
+    SearchTimeout,
+)
 from mdlsynth.logic import prog_size
 from mdlsynth.parsing import parse_ground_atom, parse_rules
 
@@ -185,6 +192,23 @@ class TestSolve:
                 neg |= e.cov.neg_mask
                 ssum += e.size
             assert res.cost == ssum + (npos - pos.bit_count()) + neg.bit_count()
+
+
+class TestDeadline:
+    def test_passed_deadline_raises(self):
+        # combine is the only path to unions of rules, so its branch and
+        # bound must stop at the search's deadline like every other stage
+        npos, nneg = 30, 10
+        pool = random_pool(random.Random(101), 25, npos, nneg)
+        assert len(pool) >= 20
+        ex = ExampleSet(
+            tuple(parse_ground_atom(f"f({i})") for i in range(npos)),
+            tuple(parse_ground_atom(f"f({100 + i})") for i in range(nneg)),
+        )
+        with pytest.raises(SearchTimeout):
+            solve(pool, ex, npos, time.perf_counter() - 1)
+        res = solve(pool, ex, npos, time.perf_counter() + 60)
+        assert res == solve(pool, ex, npos)
 
 
 class TestDecode:

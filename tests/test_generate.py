@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -228,20 +229,38 @@ class TestNextProgram:
         assert gen.next_program(2) is None
 
     def test_completeness_with_empty_store(self):
-        # the union over strata equals the canonical space of usable rules,
-        # rebuilt independently: naive enumeration, and the permutation
-        # search of naive_usable for the modes
+        # the union over strata equals the single rules and the recursive
+        # programs of the canonical space of usable rules, rebuilt
+        # independently: naive enumeration, and the permutation search of
+        # naive_usable for the modes; separable unions are left to combine
+        def generated(h):
+            heads = {(r.head.pred, r.head.arity) for r in h}
+            return len(h) == 1 or any((b.pred, b.arity) in heads
+                                      for r in h for b in r.body)
+
         modes = BackgroundKnowledge().modes()
         gen = GeneratorState(SMALL_BIAS, ConstraintStore(), modes=modes)
         seen = set()
         for size in range(2, 7):
             seen.update(drain(gen, size))
-        want = {h for h in exhaustive_space(SMALL_BIAS, 6, modes) if h}
+        want = {h for h in exhaustive_space(SMALL_BIAS, 6, modes)
+                if h and generated(h)}
         assert seen == want
+        assert any(len(h) == 2 for h in want)
         # the modes narrow the space: tail(B,A) never binds B
         unbound = frozenset(parse_rules("f(A):- tail(B,A),f(B)."))
         assert unbound not in seen
         assert unbound in drain(GeneratorState(SMALL_BIAS, ConstraintStore()), 3)
+
+    def test_bias_without_recursion_yields_its_usable_pools(self):
+        # each stratum is its usable pool, one rule at a time, in pool
+        # order, and no stratum holds a program of several rules
+        bias = replace(SMALL_BIAS, allow_recursion=False)
+        gen = GeneratorState(bias, ConstraintStore())
+        for size in range(2, bias.max_program_size + 1):
+            want = enumerate_rules(bias, size)
+            assert gen.usable_pool(size) == want
+            assert drain(gen, size) == [frozenset((r,)) for r in want], size
 
     def test_specialisation_constraint_filters(self):
         anchor = frozenset(parse_rules("f(A):- head(A,1)."))

@@ -153,6 +153,32 @@ class TestOracleEquality:
                                                       ex, tuple(nodes))
         assert len(h) == 2 and is_recursive(h)
 
+    @pytest.mark.parametrize("pos, neg, cost", [
+        ("c0 c1 c2 c3 c4 c5", "c6 c7", 4),
+        # f(c6) flipped from negative to positive: no rule covers it
+        ("c0 c1 c2 c3 c4 c5 c6", "c7", 5),
+    ], ids=["clean", "flipped"])
+    def test_learn_matches_exhaustive_minimum_on_two_rule_optimum(
+            self, pos, neg, cost):
+        # p holds on c0-c2 and r on c3-c5, so only the union of
+        # f(A):- p(A). and f(A):- r(A). covers every positive; the bias has
+        # no recursion, so generate yields single rules only and the union
+        # can come only from combine
+        consts = tuple(f"c{i}" for i in range(8))
+        facts = [Literal("p", (c,)) for c in consts[:3]]
+        facts += [Literal("r", (c,)) for c in consts[3:6]]
+        bk = BackgroundKnowledge(facts=facts, builtins={})
+        ex = ExampleSet(tuple(atom(f"f({c})") for c in pos.split()),
+                        tuple(atom(f"f({c})") for c in neg.split()))
+        bias = Bias(targets=[("f", 1)], body_preds=[("p", 1), ("r", 1)],
+                    max_vars=2, max_body=2, max_rules=2)
+        h, stats = learn(bk, ex, bias, SearchConfig(timeout=30))
+        assert stats.completed
+        assert stats.best_cost == cost == exhaustive_min_cost(
+            bias, bk.facts, bk.rules, ex, consts)
+        assert h == prog("f(A):- p(A).  f(A):- r(A).")
+        assert stats.combine_calls > 0
+
     def test_constraints_do_not_change_the_result(self):
         rng = random.Random(89)
         for trial in range(15):
@@ -217,11 +243,15 @@ class TestTimeout:
         assert stats.timed_out
         assert stats.best_cost <= ex.num_pos
 
-    @pytest.mark.parametrize("family", ["dropk", "sorted", "reverse"])
+    @pytest.mark.parametrize("family", ["dropk", "sorted", "reverse", "evens",
+                                        "zendo1", "zendo2"])
     def test_timeout_bounds_pool_build_and_assembly(self, family):
-        # these list families spend the first seconds building rule pools
-        # and assembling candidates, which both check the deadline
-        task = generate_task(family, 40, 0)
+        # these calls spend the first seconds building rule pools,
+        # assembling candidates, testing and combining, which all check
+        # the deadline; the list families have 40 clean examples, and zendo
+        # has 100 with 10% of the labels flipped
+        n, noise = (100, 0.1) if family.startswith("zendo") else (40, 0.0)
+        task = generate_task(family, n, 0).with_noise(noise, 0)
         t0 = time.perf_counter()
         learn(task.bk, task.train, task.bias, SearchConfig(timeout=1))
         assert time.perf_counter() - t0 < 2.0
