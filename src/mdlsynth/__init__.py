@@ -27,7 +27,6 @@ from .logic import (
     clause_subsumes,
     format_program,
     format_rule,
-    has_invented,
     is_recursive,
     is_separable,
     program_subsumes,

@@ -1,10 +1,10 @@
 """Exact selection of a minimum-cost union of promising programs.
 
 The pool holds tested programs that cover at least one positive example and
-are neither recursive nor use invented predicates; only for such programs
-does the coverage of a union equal the union of coverages, which is what
-lets the optimizer reason about combinations without re-running the
-evaluator.
+are not recursive.  Every rule the generator builds has a target head, so
+only for such programs does the coverage of a union equal the union of
+coverages, which is what lets the optimizer reason about combinations
+without re-running the evaluator.
 
 The objective over a selection S is
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .logic import Hypothesis, has_invented, is_recursive, prog_size
+from .logic import Hypothesis, is_recursive, prog_size
 from .evaluate import Coverage, ExampleSet, check_deadline
 
 __all__ = [
@@ -58,8 +58,7 @@ class PromisingPool:
     combination cost, so they are dropped on arrival and evicted when a
     new entry dominates them."""
 
-    def __init__(self, targets):
-        self.targets = tuple(targets)
+    def __init__(self):
         self.entries: list = []
         self._keys: set = set()
         self._seq = 0
@@ -74,8 +73,6 @@ class PromisingPool:
             raise ValueError("promising programs must cover a positive example")
         if is_recursive(h):
             raise ValueError("recursive programs cannot enter the pool")
-        if has_invented(h, self.targets):
-            raise ValueError("programs with invented predicates cannot enter the pool")
         size = prog_size(h)
         key = (cov.pos_mask, cov.neg_mask, size)
         if key in self._keys:

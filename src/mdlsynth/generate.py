@@ -24,17 +24,11 @@ parent set of the next size.  This narrows the bias space.  The rules it
 drops call their target with a free argument, and SLD resolution of such
 a call often recurses to the depth bound on every example.
 
-Constraint filtering happens at yield time.  A single rule is skipped when
-its singleton is pruned by a stored constraint of either kind.  A recursive
-program is skipped when
-
-* some member rule's singleton is pruned by a generalisation-kind
-  constraint (sound for any assembly), or
-* the whole program violates a stored constraint (sound for any program).
-
-A specialisation-pruned singleton does not rule out a recursive program:
-a base case adds proofs that no constituent has alone, so such a rule can
-still belong to an optimal recursive program.
+Constraint filtering happens at yield time, with one store query per
+candidate: ``singleton_pruned`` for a single rule, ``violates`` for a
+recursive program.  A specialisation-pruned singleton does not prune a
+recursive program that holds its rule: a base case adds proofs that no
+constituent has alone.
 """
 
 from __future__ import annotations
@@ -299,17 +293,15 @@ def enumerate_rules(bias: Bias, rule_size: int, parents=None,
 
 
 def _index_combos(n: int, m: int, s: int, start: int = 0):
-    """Strictly increasing m-tuples from range(start, n) with index sum s."""
-    if m == 0:
-        if s == 0:
-            yield ()
+    """Strictly increasing m-tuples from range(start, n) with index sum s,
+    in lexicographic order; m >= 1."""
+    if m == 1:
+        if start <= s < n:
+            yield (s,)
         return
-    lo = m * start + m * (m - 1) // 2
-    if s < lo:
-        return
-    for i in range(start, n - m + 1):
-        rest_lo = (m - 1) * (i + 1) + (m - 1) * (m - 2) // 2
-        if s - i < rest_lo:
+    hi = (m - 1) * (2 * n - m) // 2  # the largest sum of m-1 indices below n
+    for i in range(max(start, s - hi), n - m + 1):
+        if s - i < (m - 1) * (i + 1) + (m - 1) * (m - 2) // 2:
             break
         for rest in _index_combos(n, m - 1, s - i, i + 1):
             yield (i, *rest)
@@ -320,28 +312,24 @@ def _diagonal_picks(groups):
     so well-ranked rules pair up early.  ``groups`` is a list of (pool
     length, multiplicity); each selection is one strictly-increasing index
     tuple per group.  Exhaustive: every selection appears exactly once."""
-    lo = sum(m * (m - 1) // 2 for _, m in groups)
-    hi = sum(m * (2 * n - m - 1) // 2 for n, m in groups)
+    spans = [(m * (m - 1) // 2, m * (2 * n - m - 1) // 2) for n, m in groups]
+    tails = [(0, 0)]  # index-sum span of groups[gi:], built from the end
+    for lo, hi in reversed(spans):
+        tails.append((tails[-1][0] + lo, tails[-1][1] + hi))
+    tails.reverse()
 
     def rec(gi: int, s: int):
         if gi == len(groups):
-            if s == 0:
-                yield ()
+            yield ()
             return
-        n, m = groups[gi]
-        g_lo = m * (m - 1) // 2
-        g_hi = m * (2 * n - m - 1) // 2
-        for sg in range(g_lo, min(s, g_hi) + 1):
-            tail_lo = sum(mm * (mm - 1) // 2 for _, mm in groups[gi + 1:])
-            tail_hi = sum(mm * (2 * nn - mm - 1) // 2
-                          for nn, mm in groups[gi + 1:])
-            if not tail_lo <= s - sg <= tail_hi:
-                continue
+        (n, m), (g_lo, g_hi) = groups[gi], spans[gi]
+        tail_lo, tail_hi = tails[gi + 1]
+        for sg in range(max(g_lo, s - tail_hi), min(g_hi, s - tail_lo) + 1):
             for combo in _index_combos(n, m, sg):
                 for rest in rec(gi + 1, s - sg):
                     yield (combo, *rest)
 
-    for s in range(lo, hi + 1):
+    for s in range(tails[0][0], tails[0][1] + 1):
         yield from rec(0, s)
 
 
@@ -401,8 +389,8 @@ def usable(rule: Rule, targets, modes) -> bool:
 class GeneratorState:
     """Iterates the program space stratum by stratum, skipping hypotheses
     pruned by the constraint store at yield time.  The store may grow
-    between yields; pruned-singleton flags are sticky and re-checked
-    incrementally as constraints arrive.
+    between yields; each candidate is checked against the store as it
+    stands when the candidate comes up.
 
     ``deadline`` is a ``time.perf_counter()`` value, checked once per
     parent rule of a pool build and once per candidate.  ``modes`` holds
@@ -421,7 +409,6 @@ class GeneratorState:
         self._calls = set(bias.targets) & templates
         self._pools: dict = {}
         self._usable: dict = {}
-        self._flags: dict = {}  # Rule -> [spec, gen, watermark]
         self._iter = None
         self._iter_size = None
         self.candidates_seen = 0
@@ -446,19 +433,6 @@ class GeneratorState:
             self._usable[rule_sz] = out
         return out
 
-    def _rule_flags(self, rule: Rule):
-        entry = self._flags.get(rule)
-        store_len = len(self.store._records)
-        if entry is None:
-            entry = [False, False, -1]
-            self._flags[rule] = entry
-        if (not entry[0] or not entry[1]) and entry[2] != store_len:
-            spec, gen = self.store.singleton_pruned(rule)
-            entry[0] = entry[0] or spec
-            entry[1] = entry[1] or gen
-            entry[2] = store_len
-        return entry
-
     def next_program(self, size: int):
         """Next unseen consistent hypothesis of total size exactly ``size``,
         or None when the stratum is exhausted."""
@@ -472,8 +446,7 @@ class GeneratorState:
         for rule in self.usable_pool(size):
             self.candidates_seen += 1
             check_deadline(self.deadline)
-            flags = self._rule_flags(rule)
-            if flags[0] or flags[1]:
+            if self.store.singleton_pruned(rule):
                 self.candidates_pruned += 1
             else:
                 yield frozenset((rule,))
@@ -507,9 +480,7 @@ class GeneratorState:
                     for i in idxs
                 )
                 h = frozenset(rules)
-                if (is_separable(h)
-                        or any(self._rule_flags(r)[1] for r in rules)
-                        or self.store.violates(rules, size)):
+                if is_separable(h) or self.store.violates(rules, size):
                     self.candidates_pruned += 1
                 else:
                     yield h

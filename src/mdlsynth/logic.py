@@ -125,12 +125,6 @@ def is_recursive(h: Hypothesis) -> bool:
     return any((b.pred, b.arity) in heads for r in h for b in r.body)
 
 
-def has_invented(h: Hypothesis, targets, background=()) -> bool:
-    """True iff some head predicate is neither a target nor a background predicate."""
-    allowed = set(targets) | set(background)
-    return any((r.head.pred, r.head.arity) not in allowed for r in h)
-
-
 def is_separable(h: Hypothesis) -> bool:
     """At least two rules and no head predicate appearing in any body."""
     return len(h) >= 2 and not is_recursive(h)

@@ -4,8 +4,8 @@ Starting from the empty hypothesis (cost |E+|), programs are generated in
 increasing size: single rules and recursive programs (see ``generate``).
 Every tested program that beats the best cost becomes the best solution
 and tightens max_mdl to cost - 1; every tested, partially complete,
-non-recursive, non-invented program enters the promising pool and triggers
-an exact combination search bounded by max_mdl.  Combine is the only path
+non-recursive program enters the promising pool and triggers an exact
+combination search bounded by max_mdl.  Combine is the only path
 to a union of rules: the generator never yields a separable program.
 Every tested program contributes pruning constraints.  The loop ends when
 the stratum size exceeds max_mdl, when the bias space is exhausted, or at
@@ -34,7 +34,6 @@ from .generate import Bias, GeneratorState
 from .logic import (
     Hypothesis,
     format_rule,
-    has_invented,
     is_recursive,
     prog_size,
 )
@@ -170,7 +169,7 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
     store = ConstraintStore()
     num_pos = examples.num_pos
     gen = GeneratorState(bias, store, deadline, bk.modes())
-    pool = PromisingPool(bias.targets)
+    pool = PromisingPool()
 
     best: Hypothesis = frozenset()
     best_cov = Coverage(0, 0, num_pos, examples.num_neg)
@@ -227,10 +226,8 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
             # the recorded best cost keeps the optimality contract.
             if h_mdl < best_cost:
                 set_best(h, cov, h_mdl)
-            if cov.tp > 0 and not is_recursive(h) \
-                    and not has_invented(h, bias.targets):
-                if pool.add(h, cov):
-                    run_combine()
+            if cov.tp > 0 and not is_recursive(h) and pool.add(h, cov):
+                run_combine()
             if config.enable_noisy_constraints:
                 bounds = SearchBounds(best_cost, num_pos)
                 cons = stage("constrain", derive, h, cov, bounds,

@@ -303,3 +303,55 @@ def brute_combine_min(entries, num_pos):
         if cost < best:
             best = cost
     return best
+
+
+# ---------------------------------------------------------------------------
+# Pick order over rule pools
+# ---------------------------------------------------------------------------
+
+def naive_index_combos(n: int, m: int, s: int, start: int = 0):
+    """Strictly increasing m-tuples from range(start, n) with index sum s,
+    walking every first index from ``start``."""
+    if m == 0:
+        if s == 0:
+            yield ()
+        return
+    lo = m * start + m * (m - 1) // 2
+    if s < lo:
+        return
+    for i in range(start, n - m + 1):
+        rest_lo = (m - 1) * (i + 1) + (m - 1) * (m - 2) // 2
+        if s - i < rest_lo:
+            break
+        for rest in naive_index_combos(n, m - 1, s - i, i + 1):
+            yield (i, *rest)
+
+
+def naive_diagonal_picks(groups):
+    """The pick order of ``generate._diagonal_picks``, scanning every group
+    index sum up to the total and recomputing the tail's span each time:
+    one strictly increasing index tuple per (pool length, multiplicity)
+    group, in increasing order of total index sum."""
+    lo = sum(m * (m - 1) // 2 for _, m in groups)
+    hi = sum(m * (2 * n - m - 1) // 2 for n, m in groups)
+
+    def rec(gi: int, s: int):
+        if gi == len(groups):
+            if s == 0:
+                yield ()
+            return
+        n, m = groups[gi]
+        g_lo = m * (m - 1) // 2
+        g_hi = m * (2 * n - m - 1) // 2
+        for sg in range(g_lo, min(s, g_hi) + 1):
+            tail_lo = sum(mm * (mm - 1) // 2 for _, mm in groups[gi + 1:])
+            tail_hi = sum(mm * (2 * nn - mm - 1) // 2
+                          for nn, mm in groups[gi + 1:])
+            if not tail_lo <= s - sg <= tail_hi:
+                continue
+            for combo in naive_index_combos(n, m, sg):
+                for rest in rec(gi + 1, s - sg):
+                    yield (combo, *rest)
+
+    for s in range(lo, hi + 1):
+        yield from rec(0, s)

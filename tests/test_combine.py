@@ -22,8 +22,6 @@ from mdlsynth.parsing import parse_ground_atom, parse_rules
 
 from .oracles import brute_combine_min
 
-TARGETS = [("f", 1)]
-
 
 def prog(text):
     return frozenset(parse_rules(text))
@@ -35,7 +33,7 @@ def entry_cov(pos, neg, npos, nneg):
 
 def random_pool(rng, n_entries, npos, nneg):
     """A pool plus the (size, pos, neg) triples actually stored."""
-    pool = PromisingPool(TARGETS)
+    pool = PromisingPool()
     triples = []
     body_preds = ["p", "q", "r", "s", "t", "u", "v", "w"]
     i = 0
@@ -58,36 +56,30 @@ def random_pool(rng, n_entries, npos, nneg):
 
 class TestPoolGate:
     def test_accepts_partially_complete_nonrecursive(self):
-        pool = PromisingPool(TARGETS)
+        pool = PromisingPool()
         h = prog("f(A):- head(A,1).")
         assert pool.add(h, entry_cov(0b1, 0, 3, 0))
 
     def test_rejects_recursive(self):
-        pool = PromisingPool(TARGETS)
+        pool = PromisingPool()
         h = prog("f(A):- head(A,0).  f(A):- tail(A,B),f(B).")
         with pytest.raises(ValueError):
             pool.add(h, entry_cov(0b1, 0, 3, 0))
 
-    def test_rejects_invented(self):
-        pool = PromisingPool(TARGETS)
-        h = prog("inv(A):- head(A,0).")
-        with pytest.raises(ValueError):
-            pool.add(h, entry_cov(0b1, 0, 3, 0))
-
     def test_rejects_zero_tp(self):
-        pool = PromisingPool(TARGETS)
+        pool = PromisingPool()
         with pytest.raises(ValueError):
             pool.add(prog("f(A):- head(A,1)."), entry_cov(0, 0, 3, 0))
 
     def test_rejects_exact_duplicate(self):
-        pool = PromisingPool(TARGETS)
+        pool = PromisingPool()
         c = entry_cov(0b1, 0, 3, 0)
         assert pool.add(prog("f(A):- head(A,1)."), c)
         assert not pool.add(prog("f(A):- head(A,0)."), c)
         assert len(pool) == 1
 
     def test_dominated_insert_rejected(self):
-        pool = PromisingPool(TARGETS)
+        pool = PromisingPool()
         assert pool.add(prog("f(A):- head(A,1)."), entry_cov(0b111, 0b0, 3, 2))
         # worse positive coverage, same size and negatives: rejected
         assert not pool.add(prog("f(A):- head(A,0)."), entry_cov(0b011, 0b0, 3, 2))
@@ -96,7 +88,7 @@ class TestPoolGate:
         assert len(pool) == 1
 
     def test_new_dominating_entry_evicts(self):
-        pool = PromisingPool(TARGETS)
+        pool = PromisingPool()
         old = prog("f(A):- head(A,1),tail(A,B).")
         assert pool.add(old, entry_cov(0b011, 0b1, 3, 2))
         newer = prog("f(A):- head(A,0).")
@@ -107,20 +99,20 @@ class TestPoolGate:
 
 class TestSolve:
     def test_empty_pool_empty_selection(self):
-        pool = PromisingPool(TARGETS)
+        pool = PromisingPool()
         ex = ExampleSet(tuple(parse_ground_atom(f"f({i})") for i in range(5)), ())
         res = solve(pool, ex, ub=10)
         assert res is not None
         assert res.cost == 5 and res.selected == ()
 
     def test_unsat_when_even_empty_exceeds_ub(self):
-        pool = PromisingPool(TARGETS)
+        pool = PromisingPool()
         ex = ExampleSet(tuple(parse_ground_atom(f"f({i})") for i in range(5)), ())
         assert solve(pool, ex, ub=4) is None
 
     def test_three_entry_worked_example(self):
         # entries covering {e1},{e2},{e1,e2,e3} with sizes 2,2,5; |E+|=3
-        pool = PromisingPool(TARGETS)
+        pool = PromisingPool()
         pool.add(prog("f(A):- p(A)."), entry_cov(0b001, 0, 3, 0))
         pool.add(prog("f(A):- q(A)."), entry_cov(0b010, 0, 3, 0))
         pool.add(prog("f(A):- r(A),s(A),t(A),u(A)."), entry_cov(0b111, 0, 3, 0))
@@ -216,7 +208,7 @@ class TestDecode:
         assert decode(CombineResult((), 5)) == frozenset()
 
     def test_singleton_unchanged(self):
-        pool = PromisingPool(TARGETS)
+        pool = PromisingPool()
         h = prog("f(A):- head(A,1).")
         pool.add(h, entry_cov(0b111, 0, 3, 0))
         ex = ExampleSet(tuple(parse_ground_atom(f"f({i})") for i in range(3)), ())
@@ -236,7 +228,7 @@ class TestDecode:
 
 class TestInstanceDump:
     def test_wcnf_shape(self):
-        pool = PromisingPool(TARGETS)
+        pool = PromisingPool()
         pool.add(prog("f(A):- p(A)."), entry_cov(0b01, 0b1, 2, 1))
         pool.add(prog("f(A):- q(A)."), entry_cov(0b10, 0b0, 2, 1))
         ex = ExampleSet(
@@ -261,7 +253,7 @@ class TestInstanceDump:
             assert l.split()[-1] == "0"
 
     def test_soft_weights_sum(self):
-        pool = PromisingPool(TARGETS)
+        pool = PromisingPool()
         pool.add(prog("f(A):- p(A)."), entry_cov(0b1, 0, 1, 1))
         ex = ExampleSet((parse_ground_atom("f(0)"),), (parse_ground_atom("f(9)"),))
         text = build_instance(pool, ex).to_wcnf()

@@ -11,8 +11,10 @@ from mdlsynth.constrain import (
     generalisation_fp_threshold,
 )
 from mdlsynth.evaluate import Coverage
-from mdlsynth.logic import prog_size
+from mdlsynth.logic import prog_size, rule_size
 from mdlsynth.parsing import parse_rules
+
+from .helpers import connected_random_rule, random_hypothesis
 
 
 def prog(text):
@@ -128,3 +130,28 @@ class TestStore:
         store = ConstraintStore()
         store.add(NoisyConstraint(Kind.SPECIALISATION, H, prog_size(H)))
         assert not store.violates(H, prog_size(H))
+
+    def test_generalisation_pruned_singleton_prunes_every_program_holding_it(self):
+        # a generalisation constraint (anchor a, bound k) prunes {r} when r
+        # subsumes every rule of a and size(r) > k; any program h holding r
+        # then subsumes a too, and size(h) > size(r) > k
+        rng = random.Random(61)
+        hits = 0
+        for _ in range(200):
+            store = ConstraintStore()
+            for _ in range(rng.randint(1, 4)):
+                store.add(NoisyConstraint(Kind.GENERALISATION,
+                                          random_hypothesis(rng),
+                                          rng.randint(1, 4)))
+            for _ in range(10):
+                r = connected_random_rule(rng, max_body=2)
+                if not store.violates((r,), rule_size(r)):
+                    continue
+                hits += 1
+                for _ in range(5):
+                    h, n = {r}, rng.randint(2, 3)
+                    while len(h) < n:
+                        h.add(connected_random_rule(rng))
+                    h = frozenset(h)
+                    assert store.violates(h, prog_size(h)), (r, h, store.dump())
+        assert hits >= 100

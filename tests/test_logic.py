@@ -9,7 +9,6 @@ from mdlsynth.logic import (
     alpha_equivalent,
     canonicalize,
     clause_subsumes,
-    has_invented,
     is_recursive,
     is_separable,
     program_subsumes,
@@ -141,11 +140,6 @@ class TestStructuralPredicates:
 
     def test_nonrecursive_single(self):
         assert not is_recursive(prog("f(A):- head(A,1)."))
-
-    def test_invented_head(self):
-        h = prog("inv1(A):- head(A,1).")
-        assert has_invented(h, targets=[("f", 1)])
-        assert not has_invented(prog("f(A):- head(A,1)."), targets=[("f", 1)])
 
 
 class TestCanonicalize:

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from mdlsynth.constrain import ConstraintStore
 from mdlsynth.evaluate import BackgroundKnowledge, EvalBudget, Evaluator, ExampleSet, mdl_cost
 from mdlsynth.generate import Bias
 from mdlsynth.logic import Literal, is_recursive, prog_size
@@ -192,6 +193,61 @@ class TestOracleEquality:
             assert s_on.programs_tested <= s_off.programs_tested
 
 
+class TestPrunedCandidates:
+    @staticmethod
+    def learn_recording_pruned(monkeypatch, bk, ex, bias):
+        """learn, and every candidate the store pruned during it."""
+        pruned = []
+        singleton_pruned = ConstraintStore.singleton_pruned
+        violates = ConstraintStore.violates
+
+        def record_singleton(store, rule):
+            hit = singleton_pruned(store, rule)
+            if hit:
+                pruned.append(frozenset((rule,)))
+            return hit
+
+        def record_program(store, h, size):
+            hit = violates(store, h, size)
+            if hit:
+                pruned.append(frozenset(h))
+            return hit
+
+        monkeypatch.setattr(ConstraintStore, "singleton_pruned", record_singleton)
+        monkeypatch.setattr(ConstraintStore, "violates", record_program)
+        _, stats = learn(bk, ex, bias, SearchConfig(timeout=30))
+        monkeypatch.undo()
+        assert stats.completed
+        return stats, pruned
+
+    @staticmethod
+    def assert_none_cheaper(bk, ex, stats, pruned):
+        ev = Evaluator(bk, ex)
+        for h in pruned:
+            assert mdl_cost(h, ev.test(h)) >= stats.best_cost, h
+
+    def test_tiny_tasks(self, monkeypatch):
+        # the noisy constraints never prune a program cheaper than the
+        # one returned, single rules and recursive programs alike
+        rng = random.Random(101)
+        total = recursive = 0
+        for _ in range(200):
+            bk, ex, bias, _ = tiny_task(rng)
+            stats, pruned = self.learn_recording_pruned(monkeypatch, bk, ex, bias)
+            self.assert_none_cheaper(bk, ex, stats, pruned)
+            total += len(pruned)
+            recursive += sum(map(is_recursive, pruned))
+        assert total >= 100 and recursive >= 1
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_evens(self, monkeypatch, noise):
+        task = generate_task("evens", 20, 0).with_noise(noise, 0)
+        stats, pruned = self.learn_recording_pruned(
+            monkeypatch, task.bk, task.train, task.bias)
+        self.assert_none_cheaper(task.bk, task.train, stats, pruned)
+        assert any(map(is_recursive, pruned))
+
+
 class TestInvariantCheck:
     def test_initial_state_passes(self):
         bk = BackgroundKnowledge(builtins={})
@@ -259,11 +315,15 @@ class TestTimeout:
     @pytest.mark.parametrize("family, n, noise, timeout", [
         ("evens", 30, 0.1, 2),
         ("dropk", 40, 0.0, 2),
+        ("dropk", 100, 0.1, 2),
+        ("reverse", 100, 0.1, 2),
+        ("sorted", 100, 0.1, 2),
     ])
     def test_timeout_bounds_test(self, family, n, noise, timeout):
-        # these calls reach programs whose test runs every example to its
-        # step budget, so only the deadline inside SLD resolution stops them
-        # (evens ran past 20 s when test did not check it)
+        # these calls reach programs whose test can run every example to
+        # its step budget, so only the deadline inside SLD resolution stops
+        # them (evens ran past 20 s when test did not check it); the last
+        # three rows complete the list families at 10% noise
         task = generate_task(family, n, 0).with_noise(noise, 0)
         t0 = time.perf_counter()
         learn(task.bk, task.train, task.bias, SearchConfig(timeout=timeout))
