@@ -16,9 +16,11 @@ The decision procedure is top-down SLD-style resolution with:
   built-in invoked with insufficiently instantiated arguments is deferred
   until other goals have bound more variables; if no goal can run, the
   branch fails,
-* a wall-clock deadline (none by default), checked every 4,096 steps by
-  the same countdown that enforces the step budget; passing it raises
-  ``SearchTimeout`` and caches no partial coverage.
+* a wall-clock deadline (none by default), read before each example is
+  proven and every 4,096 steps of a proof by the same countdown that
+  enforces the step budget, so a passed deadline stops a test however
+  short its proofs are; passing it raises ``SearchTimeout`` and caches no
+  partial coverage.
 
 ``BUILTIN_MODES`` states, for each default built-in, the input modes in
 which it runs: a ``+`` position must be bound, a ``-`` position may be
@@ -479,7 +481,10 @@ class Evaluator:
 
     def _prove(self, prog, example: Literal, memo) -> bool:
         # memo = (success set, failure dict keyed by remaining depth); tables
-        # are per compiled program and shared across its examples
+        # are per compiled program and shared across its examples.  The
+        # clock is read here as well as by the countdown, which a short
+        # proof never runs down.
+        check_deadline(self.deadline)
         succ, fail = memo
         goal = ((example.pred, len(example.args)), example.args)
         max_steps = self.budget.max_steps

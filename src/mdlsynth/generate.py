@@ -2,15 +2,25 @@
 and programs are yielded in strata of exactly the requested total size.
 
 A stratum of size S holds two kinds of program.  First come the usable
-rules of size S, each alone, in pool order.  Then, only when some body
-literal can call a target, come the recursive programs of 2..max_rules
-distinct usable rules whose sizes sum to S (partitions by number of parts,
-then part by part).  A separable program, one where no rule calls another,
-is never yielded: its coverage is the union of its rules' coverages, so
-the search builds every such union from the tested single rules with
+rules of size S that call no target, each alone, in pool order.  Then,
+only when some body literal can call a target, come the recursive programs
+of 2..max_rules distinct usable rules whose sizes sum to S (partitions by
+number of parts, then part by part), at least one of which calls no
+target.  A separable program, one where no rule calls another, is never
+yielded: its coverage is the union of its rules' coverages, so the search
+builds every such union from the tested single rules with
 ``combine.solve``, which is exact.  Within a rule pool the order puts rules
 that use every head variable, more distinct variables, and more distinct
 predicates first; the order is deterministic for a fixed bias.
+
+A program in which every rule calls a target is skipped, alone or as a
+pick, before any store query.  Background rules never call a target
+(``search.learn`` rejects background that does), so such a program's least
+model holds no target atom: it proves nothing, and its cost, its size plus
+the number of positive examples, is above the empty program's.  Skipping
+it therefore never changes the optimum.  Whether a rule calls a target is
+computed once per rule of a usable pool, so the skip leaves every other
+candidate in its place in the order.
 
 A rule is usable unless it calls a target with an unbound argument.  The
 bound variables are the head's, closed under every non-recursive body
@@ -35,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import count, product
 
 from .constrain import ConstraintStore
 from .evaluate import check_deadline
@@ -220,7 +230,7 @@ def enumerate_rules(bias: Bias, rule_size: int, parents=None,
 
     ``parents`` is the pool one size smaller (built here when not given);
     the ``time.perf_counter()`` ``deadline`` is checked once per parent
-    rule.
+    rule, and every 1,024 rules while their order keys are computed.
 
     Each rule is a parent extended by one template literal, which is
     complete: in a head-connected body, a leaf of a breadth-first tree
@@ -288,7 +298,16 @@ def enumerate_rules(bias: Bias, rule_size: int, parents=None,
                 rule = Rule(head, frozenset(shared[b] for b in rule.body))
                 seen.add(rule)
                 out.append(rule)
-    out.sort(key=lambda r: _pool_order_key(bias, r))
+    keyed = count()
+
+    def key(rule):
+        # nearly all of the sort's time goes to its keys: seconds for a
+        # pool of millions of rules
+        if next(keyed) % 1024 == 0:
+            check_deadline(deadline)
+        return _pool_order_key(bias, rule)
+
+    out.sort(key=key)
     return out
 
 
@@ -393,9 +412,13 @@ class GeneratorState:
     stands when the candidate comes up.
 
     ``deadline`` is a ``time.perf_counter()`` value, checked once per
-    parent rule of a pool build and once per candidate.  ``modes`` holds
-    the built-ins' input modes, as given by ``BackgroundKnowledge.modes``;
-    by default every predicate binds all of its arguments."""
+    parent rule of a pool build, every 1,024 rules while that pool is
+    ordered and filtered for usable rules, and once per candidate.
+    ``candidates_skipped`` counts the candidates in which every rule calls
+    a target; they count in ``candidates_seen`` and ``candidates_pruned``
+    too.  ``modes`` holds the built-ins' input modes, as given by
+    ``BackgroundKnowledge.modes``; by default every predicate binds all of
+    its arguments."""
 
     def __init__(self, bias: Bias, store: ConstraintStore,
                  deadline: float = math.inf, modes=None):
@@ -409,10 +432,12 @@ class GeneratorState:
         self._calls = set(bias.targets) & templates
         self._pools: dict = {}
         self._usable: dict = {}
+        self._calls_target: dict = {}  # size -> a flag per usable rule
         self._iter = None
         self._iter_size = None
         self.candidates_seen = 0
         self.candidates_pruned = 0
+        self.candidates_skipped = 0  # every rule calls a target
 
     def pool(self, rule_sz: int):
         pool = self._pools.get(rule_sz)
@@ -424,13 +449,24 @@ class GeneratorState:
 
     def usable_pool(self, rule_sz: int):
         """The usable rules of ``pool(rule_sz)``, in pool order: the pool
-        itself when no body literal can call a target."""
+        itself when no body literal can call a target.  The filter checks
+        the deadline every 1,024 rules."""
         out = self._usable.get(rule_sz)
         if out is None:
             out = pool = self.pool(rule_sz)
+            flags = bytearray()
             if self._calls:
-                out = [r for r in pool if usable(r, self._calls, self.modes)]
+                calls = self._calls
+                out = []
+                for i, rule in enumerate(pool):
+                    if i % 1024 == 0:
+                        check_deadline(self.deadline)
+                    if usable(rule, calls, self.modes):
+                        out.append(rule)
+                        flags.append(any((b.pred, len(b.args)) in calls
+                                         for b in rule.body))
             self._usable[rule_sz] = out
+            self._calls_target[rule_sz] = flags
         return out
 
     def next_program(self, size: int):
@@ -441,12 +477,22 @@ class GeneratorState:
             self._iter_size = size
         return next(self._iter, None)
 
+    def _skip(self, h) -> None:
+        """Counts ``h``, dropped before any store query because every rule
+        calls a target; a skip counts as pruned too."""
+        self.candidates_skipped += 1
+        self.candidates_pruned += 1
+
     def _stratum(self, size: int):
         bias = self.bias
-        for rule in self.usable_pool(size):
+        singles = self.usable_pool(size)
+        calls_target = self._calls_target[size]  # empty without recursion
+        for i, rule in enumerate(singles):
             self.candidates_seen += 1
             check_deadline(self.deadline)
-            if self.store.singleton_pruned(rule):
+            if calls_target and calls_target[i]:
+                self._skip(frozenset((rule,)))
+            elif self.store.singleton_pruned(rule):
                 self.candidates_pruned += 1
             else:
                 yield frozenset((rule,))
@@ -468,19 +514,22 @@ class GeneratorState:
                 if len(p) < mult:
                     ok = False
                     break
-                pools.append((p, mult))
+                pools.append((p, mult, self._calls_target[s]))
             if not ok:
                 continue
-            for pick in _diagonal_picks([(len(p), m) for p, m in pools]):
+            for pick in _diagonal_picks([(len(p), m) for p, m, _ in pools]):
                 self.candidates_seen += 1
                 check_deadline(self.deadline)
-                rules = tuple(
-                    pools[g][0][i]
-                    for g, idxs in enumerate(pick)
-                    for i in idxs
-                )
+                rules = []
+                base = False
+                for (pool, _, flags), idxs in zip(pools, pick):
+                    for i in idxs:
+                        rules.append(pool[i])
+                        base = base or not flags[i]
                 h = frozenset(rules)
-                if is_separable(h) or self.store.violates(rules, size):
+                if not base:
+                    self._skip(h)
+                elif is_separable(h) or self.store.violates(rules, size):
                     self.candidates_pruned += 1
                 else:
                     yield h

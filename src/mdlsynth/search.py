@@ -1,17 +1,31 @@
 """The anytime outer loop: generate, test, combine, constrain.
 
-Starting from the empty hypothesis (cost |E+|), programs are generated in
-increasing size: single rules and recursive programs (see ``generate``).
-Every tested program that beats the best cost becomes the best solution
-and tightens max_mdl to cost - 1; every tested, partially complete,
-non-recursive program enters the promising pool and triggers an exact
-combination search bounded by max_mdl.  Combine is the only path
-to a union of rules: the generator never yields a separable program.
-Every tested program contributes pruning constraints.  The loop ends when
-the stratum size exceeds max_mdl, when the bias space is exhausted, or at
-the timeout, and returns the best hypothesis found.  The timeout is one
-``time.perf_counter()`` deadline, which generate, test and combine each
-check, raising ``SearchTimeout``.
+The loop starts from the empty hypothesis, whose cost is |E+|, at
+stratum size 2.  Each turn asks the generator for the next program of
+the current size and moves to the next size once that stratum is
+exhausted.  The generator yields single rules and recursive programs
+(see ``generate``), never a separable program and never one in which
+every rule calls a target: ``_validate`` rejects background rules that
+call a target, so such a program proves nothing and costs more than the
+empty one.  Each yielded program is tested:
+
+* a program that beats the best cost becomes the best solution and
+  tightens max_mdl to cost - 1;
+* a partially complete, non-recursive program enters the promising pool
+  and triggers an exact combination search bounded by max_mdl, the only
+  path to a union of rules; a union it returns is tested and can become
+  the best solution;
+* every tested program contributes pruning constraints to the store that
+  the generator consults.
+
+The loop ends when the stratum size exceeds max_mdl, when the bias space
+is exhausted, or at the timeout, and returns the best hypothesis found.
+The timeout is one ``time.perf_counter()`` deadline.  Generate checks it
+once per parent rule of a pool build, every 1,024 rules while a pool is
+ordered and filtered, and once per candidate; test before each example
+and every 4,096 resolution steps; combine every 1,024 nodes.  Passing it
+raises ``SearchTimeout``, and the best hypothesis found so far is
+returned.
 """
 
 from __future__ import annotations
@@ -60,6 +74,7 @@ class SearchStats:
     programs_tested: int = 0
     candidates_seen: int = 0
     candidates_pruned: int = 0
+    candidates_skipped: int = 0  # every rule calls a target; also pruned
     constraints_derived: int = 0
     combine_calls: int = 0
     pool_size: int = 0
@@ -140,6 +155,8 @@ def _print_timing(stats: SearchStats, trace):
     if not trace:
         return
     print(f"Num. programs: {stats.programs_tested}")
+    print(f"Skipped, every rule calls a target: {stats.candidates_skipped} "
+          f"of {stats.candidates_seen} candidates")
     op_total = sum(stats.stage_time.values())
     for stage in ("Generate", "Test", "Constrain", "Combine"):
         key = stage.lower()
@@ -245,6 +262,7 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
     stats.best_cost = best_cost
     stats.candidates_seen = gen.candidates_seen
     stats.candidates_pruned = gen.candidates_pruned
+    stats.candidates_skipped = gen.candidates_skipped
     stats.pool_size = len(pool)
     stats.budget_exhausted = ev.budget_exhausted
     stats.total_time = time.perf_counter() - t0

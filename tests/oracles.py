@@ -221,6 +221,26 @@ def naive_usable(rule: Rule, targets, modes) -> bool:
     return False
 
 
+def naive_has_base_case(h, targets) -> bool:
+    """The least model of ``h`` over background that calls no target can
+    hold a target atom: the set of target predicates that can hold one,
+    grown from empty by every rule whose target body literals all name
+    predicates already in it, ends non-empty."""
+    derivable: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for rule in h:
+            head = (rule.head.pred, len(rule.head.args))
+            if head in derivable:
+                continue
+            needs = {(b.pred, len(b.args)) for b in rule.body} & set(targets)
+            if needs <= derivable:
+                derivable.add(head)
+                changed = True
+    return bool(derivable)
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive optima
 # ---------------------------------------------------------------------------

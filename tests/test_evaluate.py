@@ -22,7 +22,7 @@ from mdlsynth.evaluate import (
 from mdlsynth.logic import Literal, Var, program_subsumes, prog_size
 from mdlsynth.parsing import parse_ground_atom, parse_rules
 
-from mdlsynth.tasks import generate_task
+from mdlsynth.tasks import _GT, generate_task
 
 from .helpers import random_hypothesis, tiny_task
 from .oracles import fixpoint_coverage
@@ -288,6 +288,16 @@ class TestDeadline:
         with pytest.raises(SearchTimeout):
             ev.test(h)
         assert time.perf_counter() < deadline + 0.5
+
+    def test_passed_deadline_stops_short_proofs(self):
+        # no proof of evens' target reaches 4,096 steps, so only the clock
+        # read before each example sees the deadline
+        task = generate_task("evens", 200, 0)
+        h = prog(_GT["evens"])
+        assert Evaluator(task.bk, task.train).test(h).tp == 100
+        ev = Evaluator(task.bk, task.train, deadline=time.perf_counter() - 1)
+        with pytest.raises(SearchTimeout):
+            ev.test(h)
 
     @staticmethod
     def _join_task():

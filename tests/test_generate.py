@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import mdlsynth
+from mdlsynth import generate
 from mdlsynth.constrain import ConstraintStore, Kind, NoisyConstraint
-from mdlsynth.evaluate import BackgroundKnowledge
+from mdlsynth.evaluate import BackgroundKnowledge, SearchTimeout
 from mdlsynth.generate import (
     Bias,
     BiasError,
@@ -29,6 +30,7 @@ from .oracles import (
     brute_canonical_key,
     exhaustive_space,
     naive_diagonal_picks,
+    naive_has_base_case,
     naive_enumerate_rules,
     naive_usable,
 )
@@ -140,6 +142,30 @@ class TestEnumerateRules:
         rules = enumerate_rules(SMALL_BIAS, 2)
         assert all(r.body != frozenset((r.head,)) for r in rules)
 
+    def test_sort_checks_the_deadline(self, monkeypatch):
+        # the clock is read before the first order key and every 1,024
+        # keys after it, so a deadline that passes once the keys have
+        # started stops the build at the 1,024th key; dropk's size-4 pool
+        # holds 6,650 rules
+        bias = generate_task("dropk", 10, 0).bias
+        parents = enumerate_rules(bias, 3)
+        keyed = []
+        order_key = generate._pool_order_key
+
+        def key(bias, rule):
+            keyed.append(rule)
+            return order_key(bias, rule)
+
+        def check(deadline):
+            if keyed:
+                raise SearchTimeout
+
+        monkeypatch.setattr(generate, "_pool_order_key", key)
+        monkeypatch.setattr(generate, "check_deadline", check)
+        with pytest.raises(SearchTimeout):
+            enumerate_rules(bias, 4, parents)
+        assert len(keyed) == 1024
+
 
 class TestUsable:
     def test_family_targets_are_usable(self):
@@ -196,6 +222,16 @@ class TestUsable:
             assert gen.usable_pool(size) == want, size
             assert len(want) < len(pool)
 
+    def test_usable_pool_checks_the_deadline(self):
+        # the pool is built, so only the filter can read the clock
+        task = generate_task("dropk", 10, 0)
+        gen = GeneratorState(task.bias, ConstraintStore(),
+                             modes=task.bk.modes())
+        gen.pool(3)
+        gen.deadline = time.perf_counter() - 1
+        with pytest.raises(SearchTimeout):
+            gen.usable_pool(3)
+
     def test_bias_without_recursion_uses_the_pool_itself(self):
         task = generate_task("zendo1", 10, 0)
         gen = GeneratorState(task.bias, ConstraintStore(),
@@ -241,27 +277,48 @@ class TestNextProgram:
 
     def test_completeness_with_empty_store(self):
         # the union over strata equals the single rules and the recursive
-        # programs of the canonical space of usable rules, rebuilt
-        # independently: naive enumeration, and the permutation search of
-        # naive_usable for the modes; separable unions are left to combine
+        # programs with a base case of the canonical space of usable rules,
+        # rebuilt independently: naive enumeration, the permutation search
+        # of naive_usable for the modes, and the predicate fixpoint of
+        # naive_has_base_case; separable unions are left to combine
         def generated(h):
             heads = {(r.head.pred, r.head.arity) for r in h}
             return len(h) == 1 or any((b.pred, b.arity) in heads
                                       for r in h for b in r.body)
 
+        targets = set(SMALL_BIAS.targets)
         modes = BackgroundKnowledge().modes()
         gen = GeneratorState(SMALL_BIAS, ConstraintStore(), modes=modes)
         seen = set()
         for size in range(2, 7):
             seen.update(drain(gen, size))
-        want = {h for h in exhaustive_space(SMALL_BIAS, 6, modes)
-                if h and generated(h)}
+        space = [h for h in exhaustive_space(SMALL_BIAS, 6, modes)
+                 if h and generated(h)]
+        want = {h for h in space if naive_has_base_case(h, targets)}
         assert seen == want
         assert any(len(h) == 2 for h in want)
-        # the modes narrow the space: tail(B,A) never binds B
-        unbound = frozenset(parse_rules("f(A):- tail(B,A),f(B)."))
+        assert gen.candidates_skipped == len(space) - len(want)
+        # the base case narrows the space
+        assert frozenset(parse_rules("f(A):- tail(A,B),f(B).")) in space
+        # the modes narrow it too: tail(B,A) never binds B
+        unbound = frozenset(parse_rules("f(A):- tail(B,A),f(B).  f(A):- head(A,0)."))
         assert unbound not in seen
-        assert unbound in drain(GeneratorState(SMALL_BIAS, ConstraintStore()), 3)
+        assert unbound in drain(GeneratorState(SMALL_BIAS, ConstraintStore()), 5)
+
+    def test_dropk_program_without_base_case_never_yielded(self):
+        # on dropk with 40 examples, testing this program took 14 of the
+        # 15 s that test ran in a 20 s call, and proved nothing; both of
+        # its rules are usable
+        task = generate_task("dropk", 10, 0)
+        gen = GeneratorState(task.bias, ConstraintStore(),
+                             modes=task.bk.modes())
+        stuck = frozenset(parse_rules(
+            "dropk(A,B,C):- decrement(B,D),dropk(A,D,C)."
+            "dropk(A,B,C):- dropk(C,B,A)."))
+        assert all(r in gen.usable_pool(len(r.body) + 1) for r in stuck)
+        assert stuck not in drain(gen, prog_size(stuck))
+        target = frozenset(parse_rules(_GT["dropk"]))
+        assert target in iter(lambda: gen.next_program(prog_size(target)), None)
 
     def test_bias_without_recursion_yields_its_usable_pools(self):
         # each stratum is its usable pool, one rule at a time, in pool

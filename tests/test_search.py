@@ -4,6 +4,7 @@ import time
 import pytest
 
 from mdlsynth.constrain import ConstraintStore
+from mdlsynth.generate import GeneratorState
 from mdlsynth.evaluate import BackgroundKnowledge, EvalBudget, Evaluator, ExampleSet, mdl_cost
 from mdlsynth.generate import Bias
 from mdlsynth.logic import Literal, is_recursive, prog_size
@@ -12,7 +13,7 @@ from mdlsynth.search import SearchConfig, SearchState, learn, loop_invariant_che
 from mdlsynth.tasks import generate_task
 
 from .helpers import tiny_task
-from .oracles import exhaustive_min_cost
+from .oracles import exhaustive_min_cost, naive_has_base_case
 
 
 def prog(text):
@@ -196,10 +197,13 @@ class TestOracleEquality:
 class TestPrunedCandidates:
     @staticmethod
     def learn_recording_pruned(monkeypatch, bk, ex, bias):
-        """learn, and every candidate the store pruned during it."""
-        pruned = []
+        """learn, every candidate the store pruned during it, and every
+        candidate the generator skipped because each of its rules calls a
+        target."""
+        pruned, skipped = [], []
         singleton_pruned = ConstraintStore.singleton_pruned
         violates = ConstraintStore.violates
+        skip = GeneratorState._skip
 
         def record_singleton(store, rule):
             hit = singleton_pruned(store, rule)
@@ -213,12 +217,22 @@ class TestPrunedCandidates:
                 pruned.append(frozenset(h))
             return hit
 
+        def record_skip(gen, h):
+            skipped.append(h)
+            skip(gen, h)
+
         monkeypatch.setattr(ConstraintStore, "singleton_pruned", record_singleton)
         monkeypatch.setattr(ConstraintStore, "violates", record_program)
+        monkeypatch.setattr(GeneratorState, "_skip", record_skip)
         _, stats = learn(bk, ex, bias, SearchConfig(timeout=30))
         monkeypatch.undo()
         assert stats.completed
-        return stats, pruned
+        assert stats.candidates_skipped == len(skipped)
+        # the skip comes before any store query, and only without a base case
+        targets = set(bias.targets)
+        assert all(naive_has_base_case(h, targets) for h in pruned)
+        assert not any(naive_has_base_case(h, targets) for h in skipped)
+        return stats, pruned, skipped
 
     @staticmethod
     def assert_none_cheaper(bk, ex, stats, pruned):
@@ -227,25 +241,46 @@ class TestPrunedCandidates:
             assert mdl_cost(h, ev.test(h)) >= stats.best_cost, h
 
     def test_tiny_tasks(self, monkeypatch):
-        # the noisy constraints never prune a program cheaper than the
-        # one returned, single rules and recursive programs alike
+        # neither the noisy constraints nor the base-case skip ever drops
+        # a program cheaper than the one returned, single rules and
+        # recursive programs alike
         rng = random.Random(101)
         total = recursive = 0
         for _ in range(200):
             bk, ex, bias, _ = tiny_task(rng)
-            stats, pruned = self.learn_recording_pruned(monkeypatch, bk, ex, bias)
-            self.assert_none_cheaper(bk, ex, stats, pruned)
+            stats, pruned, skipped = self.learn_recording_pruned(
+                monkeypatch, bk, ex, bias)
+            self.assert_none_cheaper(bk, ex, stats, pruned + skipped)
             total += len(pruned)
-            recursive += sum(map(is_recursive, pruned))
+            recursive += sum(map(is_recursive, pruned + skipped))
         assert total >= 100 and recursive >= 1
 
     @pytest.mark.parametrize("noise", [0.0, 0.1])
     def test_evens(self, monkeypatch, noise):
         task = generate_task("evens", 20, 0).with_noise(noise, 0)
-        stats, pruned = self.learn_recording_pruned(
+        stats, pruned, skipped = self.learn_recording_pruned(
             monkeypatch, task.bk, task.train, task.bias)
-        self.assert_none_cheaper(task.bk, task.train, stats, pruned)
-        assert any(map(is_recursive, pruned))
+        self.assert_none_cheaper(task.bk, task.train, stats, pruned + skipped)
+        assert any(map(is_recursive, pruned + skipped))
+
+
+class TestBaseCase:
+    def test_evens_never_tests_a_program_without_one(self, monkeypatch):
+        # a program in which every rule calls a target proves nothing
+        task = generate_task("evens", 20, 0)
+        tested = []
+        test = Evaluator.test
+
+        def record(ev, h):
+            tested.append(h)
+            return test(ev, h)
+
+        monkeypatch.setattr(Evaluator, "test", record)
+        _, stats = learn(task.bk, task.train, task.bias, SearchConfig(timeout=30))
+        assert stats.completed and stats.candidates_skipped > 0
+        assert len(tested) >= stats.programs_tested
+        targets = set(task.bias.targets)
+        assert all(naive_has_base_case(h, targets) for h in tested if h)
 
 
 class TestInvariantCheck:
