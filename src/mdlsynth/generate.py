@@ -14,9 +14,10 @@ that use every head variable, more distinct variables, and more distinct
 predicates first; the order is deterministic for a fixed bias.
 
 A program in which every rule calls a target is skipped, alone or as a
-pick, before any store query.  Background rules never call a target
-(``search.learn`` rejects background that does), so such a program's least
-model holds no target atom: it proves nothing, and its cost, its size plus
+pick, before any store query.  The background neither defines nor calls
+a target (``search.learn`` rejects background with a fact, rule or built-in
+for a target, or a rule that calls one), so such a program's least model
+holds no target atom: it proves nothing, and its cost, its size plus
 the number of positive examples, is above the empty program's.  Skipping
 it therefore never changes the optimum.  Whether a rule calls a target is
 computed once per rule of a usable pool, so the skip leaves every other

@@ -5,9 +5,9 @@ stratum size 2.  Each turn asks the generator for the next program of
 the current size and moves to the next size once that stratum is
 exhausted.  The generator yields single rules and recursive programs
 (see ``generate``), never a separable program and never one in which
-every rule calls a target: ``_validate`` rejects background rules that
-call a target, so such a program proves nothing and costs more than the
-empty one.  Each yielded program is tested:
+every rule calls a target: ``_validate`` rejects background that defines
+or calls a target, so such a program proves nothing and costs more than
+the empty one.  Each yielded program is tested:
 
 * a program that beats the best cost becomes the best solution and
   tightens max_mdl to cost - 1;
@@ -278,7 +278,12 @@ def _validate(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias) -> None
     missing = example_preds - targets
     if missing:
         raise ValueError(f"example predicates {sorted(missing)} are not bias targets")
-    # background independence: background rule bodies must not call targets
+    # background independence: only the hypothesis defines a target, and no
+    # background rule calls one.  So a program in which every rule calls a
+    # target proves no target atom, which the generator relies on to skip it.
+    for key in sorted(targets):
+        if bk.defines(key) or key in bk.builtins:
+            raise ValueError(f"background defines target {key[0]}/{key[1]}")
     for rule in bk.rules:
         for lit in rule.body:
             if (lit.pred, len(lit.args)) in targets:

@@ -97,7 +97,6 @@ class RunReport:
                 "programs_tested": self.stats.programs_tested,
                 "candidates_seen": self.stats.candidates_seen,
                 "candidates_pruned": self.stats.candidates_pruned,
-                "candidates_skipped": self.stats.candidates_skipped,
                 "constraints_derived": self.stats.constraints_derived,
                 "combine_calls": self.stats.combine_calls,
                 "budget_exhausted": self.stats.budget_exhausted,

@@ -222,23 +222,11 @@ def naive_usable(rule: Rule, targets, modes) -> bool:
 
 
 def naive_has_base_case(h, targets) -> bool:
-    """The least model of ``h`` over background that calls no target can
-    hold a target atom: the set of target predicates that can hold one,
-    grown from empty by every rule whose target body literals all name
-    predicates already in it, ends non-empty."""
-    derivable: set = set()
-    changed = True
-    while changed:
-        changed = False
-        for rule in h:
-            head = (rule.head.pred, len(rule.head.args))
-            if head in derivable:
-                continue
-            needs = {(b.pred, len(b.args)) for b in rule.body} & set(targets)
-            if needs <= derivable:
-                derivable.add(head)
-                changed = True
-    return bool(derivable)
+    """Some rule of ``h`` calls no target.  Background that neither defines
+    nor calls a target proves no target atom, so without such a rule no
+    rule of ``h`` can ever fire and its least model holds no target atom."""
+    targets = set(targets)
+    return any(not ({(b.pred, len(b.args)) for b in r.body} & targets) for r in h)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,26 @@ class TestLearnBasics:
         with pytest.raises(ValueError):
             learn(bk, ex, bias)
 
+    @pytest.mark.parametrize("source,builtins", [
+        ("f(0).", {}),
+        ("f(A):- p(A).", {}),
+        ("", {("f", 1): lambda args: [args]}),
+    ])
+    def test_validation_rejects_bk_defining_target(self, source, builtins):
+        # with f(0) in the background, f(A):- succ(B,A),f(B). would prove
+        # every positive example though its only rule calls the target
+        bk = BackgroundKnowledge.from_source(source, builtins=builtins)
+        bias = Bias(targets=[("f", 1)], body_preds=[("p", 1)])
+        ex = ExampleSet((atom("f(a)"),), ())
+        with pytest.raises(ValueError, match="defines target f/1"):
+            learn(bk, ex, bias)
+
+    def test_validation_accepts_bk_with_target_name_at_another_arity(self):
+        bk = BackgroundKnowledge.from_source("f(a,b).", builtins={})
+        bias = Bias(targets=[("f", 1)], body_preds=[("f", 2)])
+        ex = ExampleSet((atom("f(a)"),), ())
+        learn(bk, ex, bias, SearchConfig(timeout=5))
+
 
 class TestOracleEquality:
     def test_learn_matches_exhaustive_minimum(self):
