@@ -2,11 +2,11 @@
 
 The search enumerates candidate definite programs in increasing size, prunes
 with noise-tolerant constraints that never exclude a minimum-cost program,
-and combines partial programs through an exact weighted selection solver.
-Recursive programs are found by the enumeration itself.
+and combines promising single rules into unions through an exact weighted
+selection solver.  Recursive programs are found by the enumeration itself.
 """
 
-from .combine import CombineInstance, CombineResult, PromisingPool, build_instance, decode, solve
+from .combine import CombineResult, PromisingPool, decode, solve, to_wcnf
 from .constrain import ConstraintStore, Kind, NoisyConstraint, SearchBounds, derive
 from .evaluate import (
     BackgroundKnowledge,

@@ -11,10 +11,10 @@ the empty one.  Each yielded program is tested:
 
 * a program that beats the best cost becomes the best solution and
   tightens max_mdl to cost - 1;
-* a partially complete, non-recursive program enters the promising pool
-  and triggers an exact combination search bounded by max_mdl, the only
-  path to a union of rules; a union it returns is tested and can become
-  the best solution;
+* a single rule that covers a positive example and does not call its own
+  head enters the promising pool of rules, and triggers an exact
+  combination search bounded by max_mdl, the only path to a union of
+  rules; a union cheaper than the best cost becomes the best solution;
 * every tested program contributes pruning constraints to the store that
   the generator consults.
 
@@ -103,7 +103,6 @@ class SearchState:
     max_mdl: int
     best: Hypothesis
     best_cost: int
-    num_pos: int
     evaluator: Evaluator
 
 
@@ -214,15 +213,15 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
     def run_combine():
         stats.combine_calls += 1
         result = stage("combine", solve, pool, examples, max_mdl, deadline)
-        if result is None:
+        # solve returns the empty selection, at cost |E+|, only while no
+        # program has beaten the empty one
+        if result is None or result.cost >= best_cost:
             return
         union = decode(result)
+        # ORs the rules' cached coverages; no proof runs
         ucov = stage("test", ev.test, union)
-        ucost = mdl_cost(union, ucov)
-        # re-test can only confirm or improve the encoding cost; guard
-        # against budget artifacts rather than assert
-        if ucost < best_cost:
-            set_best(union, ucov, ucost)
+        assert mdl_cost(union, ucov) == result.cost
+        set_best(union, ucov, result.cost)
 
     try:
         while size <= max_mdl and size <= bias.max_program_size:
@@ -243,8 +242,10 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
             # the recorded best cost keeps the optimality contract.
             if h_mdl < best_cost:
                 set_best(h, cov, h_mdl)
-            if cov.tp > 0 and not is_recursive(h) and pool.add(h, cov):
-                run_combine()
+            if cov.tp > 0 and not is_recursive(h):
+                (rule,) = h  # generate yields no separable program
+                if pool.add(rule, cov):
+                    run_combine()
             if config.enable_noisy_constraints:
                 bounds = SearchBounds(best_cost, num_pos)
                 cons = stage("constrain", derive, h, cov, bounds,
@@ -254,7 +255,7 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
                         stats.constraints_derived += 1
             if config.debug:
                 loop_invariant_check(SearchState(
-                    size, max_mdl, best, best_cost, num_pos, ev))
+                    size, max_mdl, best, best_cost, ev))
         stats.completed = True
     except SearchTimeout:
         stats.timed_out = True

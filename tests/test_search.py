@@ -194,7 +194,8 @@ class TestOracleEquality:
                         tuple(atom(f"f({c})") for c in neg.split()))
         bias = Bias(targets=[("f", 1)], body_preds=[("p", 1), ("r", 1)],
                     max_vars=2, max_body=2, max_rules=2)
-        h, stats = learn(bk, ex, bias, SearchConfig(timeout=30))
+        # debug re-tests the union combine returns once it becomes best
+        h, stats = learn(bk, ex, bias, SearchConfig(timeout=30, debug=True))
         assert stats.completed
         assert stats.best_cost == cost == exhaustive_min_cost(
             bias, bk.facts, bk.rules, ex, consts)
@@ -309,7 +310,7 @@ class TestInvariantCheck:
         ex = ExampleSet((atom("f(a)"), atom("f(b)")), ())
         ev = Evaluator(bk, ex)
         state = SearchState(size=2, max_mdl=2, best=frozenset(),
-                            best_cost=2, num_pos=2, evaluator=ev)
+                            best_cost=2, evaluator=ev)
         assert loop_invariant_check(state)
 
     def test_post_update_relation_enforced(self):
@@ -319,10 +320,10 @@ class TestInvariantCheck:
         ev = Evaluator(bk, ex)
         best = prog("f(A):- p(A).")
         good = SearchState(size=2, max_mdl=1, best=best, best_cost=2,
-                           num_pos=2, evaluator=ev)
+                           evaluator=ev)
         assert loop_invariant_check(good)
         bad = SearchState(size=2, max_mdl=2, best=best, best_cost=2,
-                          num_pos=2, evaluator=ev)
+                          evaluator=ev)
         with pytest.raises(AssertionError):
             loop_invariant_check(bad)
 
@@ -333,7 +334,7 @@ class TestInvariantCheck:
         ev = Evaluator(bk, ex)
         best = prog("f(A):- p(A).")
         bad = SearchState(size=2, max_mdl=4, best=best, best_cost=5,
-                          num_pos=2, evaluator=ev)
+                          evaluator=ev)
         with pytest.raises(AssertionError):
             loop_invariant_check(bad)
 
