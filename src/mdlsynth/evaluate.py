@@ -358,8 +358,9 @@ class Evaluator:
     """Tests hypotheses against a fixed example set under a fixed budget.
 
     Per-rule coverages are cached, so re-testing shared rules across
-    candidate programs is free.  Deterministic: identical hypotheses yield
-    identical coverages."""
+    candidate programs is free; ``covers`` compiles each hypothesis once,
+    however many examples it is asked about.  Deterministic: identical
+    hypotheses yield identical coverages."""
 
     def __init__(self, bk: BackgroundKnowledge, examples: ExampleSet,
                  budget: EvalBudget | None = None, deadline: float = math.inf):
@@ -369,6 +370,7 @@ class Evaluator:
         self.deadline = deadline  # a time.perf_counter() value
         self.budget_exhausted = 0
         self._rule_cov: dict = {}
+        self._programs: dict = {}  # hypothesis -> compiled, for covers
         self._known = bk.known_predicates()
         self._facts_by_pred = bk._facts_by_pred
         self._facts_by_first = bk._facts_by_first
@@ -381,7 +383,9 @@ class Evaluator:
         """B union h |= example, within budget.  Raises EngineError when the
         example's predicate/arity is unknown."""
         self._check_example(example, h)
-        prog = self._compile(h)
+        prog = self._programs.get(h)
+        if prog is None:
+            prog = self._programs[h] = self._compile(h)
         return self._prove(prog, example, (set(), {}))
 
     def test(self, h: Hypothesis) -> Coverage:

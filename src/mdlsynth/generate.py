@@ -46,11 +46,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import count, product
+from itertools import count, permutations, product
 
 from .constrain import ConstraintStore
 from .evaluate import check_deadline
-from .logic import Literal, Rule, Var, canonicalize, is_separable
+from .logic import Literal, Rule, Var, _literal_sort_key, is_separable
+# bound here so that a profiler can patch generate.canonicalize; the pool
+# build computes canonical forms on template indices instead
+from .logic import canonicalize  # noqa: F401
 from .parsing import ParseError, parse_directives
 
 __all__ = ["Bias", "BiasError", "GeneratorState", "enumerate_rules", "usable"]
@@ -199,26 +202,30 @@ def _num_vars(rule: Rule) -> int:
                     for a in lit.args if isinstance(a, Var)), default=-1)
 
 
-def _pool_order_key(bias: Bias, rule: Rule):
-    # likely-useful rules first: no variable occurring just once, every head
-    # variable used in the body, many distinct predicates; purely an
-    # iteration order, the stratum content is unaffected
-    from .logic import format_rule
-
-    occur: dict = {}
-    for lit in (rule.head, *rule.body):
-        for a in lit.args:
-            if isinstance(a, Var):
-                occur[a] = occur.get(a, 0) + 1
-    singletons = sum(1 for n in occur.values() if n == 1)
-    head_vars = {a for a in rule.head.args if isinstance(a, Var)}
-    body_vars = {a for b in rule.body for a in b.args if isinstance(a, Var)}
-    preds = {b.pred for b in rule.body}
+def _pool_order_key(keydata, canon):
+    """Order key of the canonical rule ``canon``, a head number followed by
+    its body's template indices in increasing order, from the per-head and
+    per-template data ``keydata`` built by ``enumerate_rules``.  It puts
+    likely-useful rules first: no variable occurring just once, every head
+    variable used in the body, many distinct predicates, and then the
+    rule's text; purely an iteration order, the stratum content is
+    unaffected."""
+    heads, masks, texts = keydata
+    once, head_text = heads[canon[0]]
+    head_vars = once
+    more = used = preds = 0
+    body = canon[1:]
+    for t in body:
+        vars_, twice, pred = masks[t]
+        more |= (once & vars_) | twice
+        once |= vars_
+        used |= vars_
+        preds |= pred
     return (
-        singletons,
-        0 if head_vars <= body_vars else 1,
-        -len(preds),
-        format_rule(rule),
+        (once & ~more).bit_count(),
+        0 if head_vars & ~used == 0 else 1,
+        -preds.bit_count(),
+        head_text + ",".join([texts[t] for t in body]) + ".",
     )
 
 
@@ -249,7 +256,21 @@ def enumerate_rules(bias: Bias, rule_size: int, parents=None,
     literal, exactly as it stands in the pool, and whose literal passes
     the numbering rule above.  Only the pair with the highest template
     index of the literal canonicalizes it, so no body is canonicalized
-    twice and no set of raw bodies is kept."""
+    twice and no set of raw bodies is kept.
+
+    Bodies are sets of template indices, and the templates are numbered in
+    ``logic._literal_sort_key`` order.  The canonical form of a rule with
+    head arity a and n variables is the least sorted index tuple over the
+    (n - a)! permutations of its non-head variables a..n-1, each applied
+    through a table of renamed template indices built once per (a, n).
+    It equals ``logic.canonicalize``: that picks, over all body orders, the
+    least sequence of literal keys, numbering fresh variables by first
+    appearance; a literal's key can only grow as the renaming extends, so
+    the least sequence is non-decreasing, and it is therefore the least
+    sorted key tuple over all renamings.  (n - a)! is at most 6 for every
+    bundled bias.  The order key (see ``_pool_order_key``) is built from
+    per-template data too, and a ``Rule`` is made only for each rule kept,
+    after the order is fixed."""
     k = rule_size - 1
     if k < 1 or k > bias.max_body:
         return []
@@ -259,20 +280,41 @@ def enumerate_rules(bias: Bias, rule_size: int, parents=None,
                    for name, arity in bias.targets]
     elif parents is None:
         parents = enumerate_rules(bias, rule_size - 1, None, deadline)
-    templates = []  # (index, literal, types of its variables)
-    for lit in literal_templates(bias):
+    lits, lit_types = [], []
+    for lit in sorted(literal_templates(bias), key=_literal_sort_key):
         types = _var_types(bias, (lit,))
         if types is not None:
-            templates.append((len(templates), lit, tuple(types.items())))
-    index = {lit: i for i, lit, _ in templates}
-    shared = {lit: lit for _, lit, _ in templates}
+            lits.append(lit)
+            lit_types.append(tuple(types.items()))
+    index = {lit: i for i, lit in enumerate(lits)}
     fits = [{n for n in range(bias.max_vars + 1) if _extends(lit, n)}
-            for _, lit, _ in templates]
-    by_n = {n: [t for t in templates if n in fits[t[0]]]
+            for lit in lits]
+    by_n = {n: [i for i in range(len(lits)) if n in fits[i]]
             for n in range(bias.max_vars + 1)}
+    tops = [1 + max(a.idx for a in lit.args if isinstance(a, Var))
+            for lit in lits]
+    renamings: dict = {}
+
+    def renaming(arity: int, n: int):
+        # per permutation of the variables arity..n-1, each template's
+        # renamed index; None when no two variables can swap
+        if n - arity < 2:
+            return None
+        tables = renamings.get((arity, n))
+        if tables is None:
+            tables = renamings[(arity, n)] = []
+            for image in permutations(range(arity, n)):
+                to = dict(zip(range(arity, n), image))
+                tables.append([index[Literal(lit.pred, tuple(
+                    Var(to.get(a.idx, a.idx)) if isinstance(a, Var) else a
+                    for a in lit.args))] for lit in lits])
+        return tables
+
+    heads: dict = {}  # head literal -> its number in canonical tuples
     # head -> body as template indices -> variable count, for each parent
     known: dict = {}
     for p in parents:
+        heads.setdefault(p.head, len(heads))
         ids = frozenset(index[m] for m in p.body)
         known.setdefault(p.head, {})[ids] = _num_vars(p)
     out = []
@@ -280,35 +322,61 @@ def enumerate_rules(bias: Bias, rule_size: int, parents=None,
     for parent in parents:
         check_deadline(deadline)
         head, body = parent.head, parent.body
+        h = heads[head]
+        arity = len(head.args)
         head_id = index.get(head)
         siblings = known[head]
         ids = frozenset(index[m] for m in body)
+        n = siblings[ids]
         types = _var_types(bias, (head, *body))
-        for i, lit, lit_types in by_n[siblings[ids]]:
+        for i in by_n[n]:
             if i in ids or i == head_id:
                 continue
-            if any(types.get(v, ty) != ty for v, ty in lit_types):
+            if any(types.get(v, ty) != ty for v, ty in lit_types[i]):
                 continue
             new_ids = ids | {i}
             if any(j > i and siblings.get(new_ids - {j}, 0) in fits[j]
                    for j in ids):
                 continue
-            rule = canonicalize(Rule(head, body | {lit}))
-            if rule not in seen:
-                # the pool shares the template literals, not copies
-                rule = Rule(head, frozenset(shared[b] for b in rule.body))
-                seen.add(rule)
-                out.append(rule)
+            tables = renaming(arity, max(n, tops[i]))
+            if tables is None:
+                canon = (h, *sorted(new_ids))
+            else:
+                canon = (h, *min(sorted([t[j] for j in new_ids])
+                                 for t in tables))
+            if canon not in seen:
+                seen.add(canon)
+                out.append(canon)
+    del seen, known, renamings
+    masks = []
+    pred_bits: dict = {}
+    for lit in lits:
+        vars_ = twice = 0
+        for a in lit.args:
+            if isinstance(a, Var):
+                bit = 1 << a.idx
+                twice |= vars_ & bit
+                vars_ |= bit
+        pred = 1 << pred_bits.setdefault(lit.pred, len(pred_bits))
+        masks.append((vars_, twice, pred))
+    head_lits = list(heads)
+    keydata = ([((1 << len(hd.args)) - 1, f"{hd!r}:- ") for hd in head_lits],
+               masks, [repr(lit) for lit in lits])
     keyed = count()
 
-    def key(rule):
+    def key(canon):
         # nearly all of the sort's time goes to its keys: seconds for a
         # pool of millions of rules
         if next(keyed) % 1024 == 0:
             check_deadline(deadline)
-        return _pool_order_key(bias, rule)
+        return _pool_order_key(keydata, canon)
 
     out.sort(key=key)
+    # each index tuple is freed as its rule replaces it; the pool shares
+    # the template literals, not copies
+    for x, canon in enumerate(out):
+        out[x] = Rule(head_lits[canon[0]],
+                      frozenset([lits[t] for t in canon[1:]]))
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from mdlsynth.logic import Hypothesis, Literal, Rule, Var
+from mdlsynth.logic import Hypothesis, Literal, Rule, Var, format_rule
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +190,27 @@ def brute_canonical_key(rule: Rule):
         if best is None or key < best:
             best = key
     return best
+
+
+def reference_pool_order_key(rule: Rule):
+    """Pool order of ``generate.enumerate_rules``, computed on the rule
+    itself: fewest variables occurring once, every head variable used in
+    the body, most distinct predicates, then the rule's text."""
+    occur: dict = {}
+    for lit in (rule.head, *rule.body):
+        for a in lit.args:
+            if isinstance(a, Var):
+                occur[a] = occur.get(a, 0) + 1
+    singletons = sum(1 for n in occur.values() if n == 1)
+    head_vars = {a for a in rule.head.args if isinstance(a, Var)}
+    body_vars = {a for b in rule.body for a in b.args if isinstance(a, Var)}
+    preds = {b.pred for b in rule.body}
+    return (
+        singletons,
+        0 if head_vars <= body_vars else 1,
+        -len(preds),
+        format_rule(rule),
+    )
 
 
 def naive_usable(rule: Rule, targets, modes) -> bool:

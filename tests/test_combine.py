@@ -45,6 +45,24 @@ def random_pool(rng, n_entries, npos, nneg):
     return pool
 
 
+def union_pool(rng, n_entries, npos, nneg):
+    """A pool of up to ``n_entries`` rules that each cover 1 to 3 of the
+    npos positive examples, all in one block of three, and at most one of
+    the nneg negatives.  A rule pays for itself only when it covers a whole
+    block, and rules on different blocks add up, so the optimum is often a
+    union of several rules."""
+    pool = PromisingPool()
+    for i in range(n_entries):
+        block = 3 * rng.randrange(npos // 3)
+        covered = rng.sample(range(3), rng.choice((1, 2, 3, 3)))
+        pos = sum(1 << (block + j) for j in covered)
+        neg = 1 << rng.randrange(nneg) if nneg and rng.random() < 0.2 else 0
+        body = ",".join(f"p{i}_{k}(A)"
+                        for k in range(1 if rng.random() < 0.75 else 2))
+        pool.add(rule(f"f(A):- {body}."), entry_cov(pos, neg, npos, nneg))
+    return pool
+
+
 class TestPoolGate:
     def test_accepts_partially_complete_nonrecursive(self):
         pool = PromisingPool()
@@ -166,6 +184,27 @@ class TestSolve:
                 assert res is not None and res.cost == want, trial
             else:
                 assert res is None, trial
+
+    def test_matches_brute_force_on_union_pools(self):
+        # random_pool's optimum is a union of several rules in about 1 of
+        # 200 trials; here it is in at least a quarter of them
+        rng = random.Random(83)
+        trials, unions = 200, 0
+        for trial in range(trials):
+            npos = 3 * rng.randint(2, 4)
+            nneg = rng.randint(0, 6)
+            pool = union_pool(rng, rng.randint(3, 10), npos, nneg)
+            ex = ExampleSet(
+                tuple(parse_ground_atom(f"f({i})") for i in range(npos)),
+                tuple(parse_ground_atom(f"f({100 + i})") for i in range(nneg)),
+            )
+            entries = [(e.size, e.cov.pos_mask, e.cov.neg_mask)
+                       for e in pool.entries]
+            want = brute_combine_min(entries, npos)
+            res = solve(pool, ex, npos)
+            assert res is not None and res.cost == want, trial
+            unions += len(res.selected) > 1
+        assert unions >= trials // 4, unions
 
     def test_anti_monotone_in_ub(self):
         rng = random.Random(67)

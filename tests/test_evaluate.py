@@ -76,6 +76,25 @@ class TestCovers:
         with pytest.raises(EngineError):
             ev.covers(prog(H1), atom("nosuch(3)"))
 
+    def test_each_hypothesis_compiled_once(self, three_example_setup,
+                                           monkeypatch):
+        # task generation asks one evaluator about hundreds of atoms with
+        # the same target program
+        bk, ex = three_example_setup
+        ev = Evaluator(bk, ex)
+        compiled = []
+        compile_ = Evaluator._compile
+
+        def counting(self, h):
+            compiled.append(h)
+            return compile_(self, h)
+
+        monkeypatch.setattr(Evaluator, "_compile", counting)
+        got = [ev.covers(prog(h), e) for h in (H1, H2, H1, H2)
+               for e in ex.pos]
+        assert got == [True, False, False, False, True, False] * 2
+        assert compiled == [prog(H1), prog(H2)]
+
 
 class TestTest:
     def test_empty_hypothesis_covers_nothing(self, three_example_setup):

@@ -22,7 +22,7 @@ from mdlsynth.generate import (
     enumerate_rules,
     usable,
 )
-from mdlsynth.logic import Literal, prog_size, program_subsumes
+from mdlsynth.logic import Literal, Rule, canonicalize, prog_size, program_subsumes
 from mdlsynth.parsing import parse_rules
 from mdlsynth.tasks import _GT, generate_task
 
@@ -33,6 +33,7 @@ from .oracles import (
     naive_has_base_case,
     naive_enumerate_rules,
     naive_usable,
+    reference_pool_order_key,
 )
 
 SMALL_BIAS = Bias(
@@ -85,12 +86,14 @@ class TestEnumerateRules:
     def test_counts_match_naive_unfillable_max_vars(self):
         # each body literal adds at most one variable, so no rule reaches
         # the fifth: templates name indices that no parent rule reaches yet
-        bias = Bias(targets=[("f", 1)], body_preds=[("p", 1), ("q", 2)],
-                    max_vars=5, max_body=3, max_rules=1)
-        for size in (2, 3, 4):
-            got = {brute_canonical_key(r) for r in enumerate_rules(bias, size)}
-            want = naive_enumerate_rules(bias, size)
-            assert got == want, size
+        for max_vars in (5, 6):
+            bias = Bias(targets=[("f", 1)], body_preds=[("p", 1), ("q", 2)],
+                        max_vars=max_vars, max_body=3, max_rules=1)
+            for size in (2, 3, 4):
+                got = {brute_canonical_key(r)
+                       for r in enumerate_rules(bias, size)}
+                want = naive_enumerate_rules(bias, size)
+                assert got == want, (max_vars, size)
 
     def test_counts_match_naive_two_targets_with_constants(self):
         bias = Bias(targets=[("f", 1), ("g", 2)],
@@ -105,6 +108,41 @@ class TestEnumerateRules:
             want = naive_enumerate_rules(bias, size)
             assert got == want, size
 
+    def test_six_var_pools_match_canonicalize(self):
+        # a ternary predicate reaches six variables at size 4, so a rule's
+        # canonical form is the least over up to 5! renamings; the size-3
+        # pool is every parent extended by every template, through
+        # logic.canonicalize
+        bias = Bias(targets=[("f", 1)], body_preds=[("r", 3)],
+                    max_vars=6, max_body=3, max_rules=1)
+        parents = enumerate_rules(bias, 2)
+        pool = enumerate_rules(bias, 3, parents)
+        templates = generate.literal_templates(bias)
+        want = set()
+        for p in parents:
+            pvars = set(p.head.args) | {a for b in p.body for a in b.args}
+            for lit in templates:
+                if lit not in p.body and set(lit.args) & pvars and \
+                        len(set(lit.args) | pvars) <= bias.max_vars:
+                    want.add(canonicalize(Rule(p.head, p.body | {lit})))
+        assert set(pool) == want and len(pool) == len(want)
+        big = enumerate_rules(bias, 4, pool)
+        assert max(generate._num_vars(r) for r in big) == 6
+        assert all(canonicalize(r) == r for r in big)
+        assert len(set(big)) == len(big)
+
+    @pytest.mark.parametrize("family", ["evens", "dropk", "zendo1", "sorted", None])
+    def test_pools_canonical_and_in_reference_order(self, family):
+        # reference_pool_order_key is the order key computed on the rule,
+        # not on template indices
+        bias = generate_task(family, 10, 0).bias if family else SMALL_BIAS
+        gen = GeneratorState(bias, ConstraintStore())
+        for size in (2, 3, 4):
+            pool = gen.pool(size)
+            assert all(canonicalize(r) == r for r in pool), size
+            keys = [reference_pool_order_key(r) for r in pool]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys), size
+
     def test_pool_built_from_smaller_pool_matches(self):
         gen = GeneratorState(SMALL_BIAS, ConstraintStore())
         for size in (2, 3, 4):
@@ -114,9 +152,10 @@ class TestEnumerateRules:
         code = ("from mdlsynth.logic import format_rule\n"
                 "from mdlsynth.generate import enumerate_rules\n"
                 "from mdlsynth.tasks import generate_task\n"
-                "bias = generate_task('evens', 10, 0).bias\n"
-                "for r in enumerate_rules(bias, 3):\n"
-                "    print(format_rule(r))\n")
+                "for family, size in (('evens', 3), ('dropk', 4), ('zendo1', 4)):\n"
+                "    bias = generate_task(family, 10, 0).bias\n"
+                "    for r in enumerate_rules(bias, size):\n"
+                "        print(format_rule(r))\n")
         src = str(Path(mdlsynth.__file__).resolve().parent.parent)
         outs = []
         for seed in ("1", "2"):
@@ -124,7 +163,7 @@ class TestEnumerateRules:
             proc = subprocess.run([sys.executable, "-c", code], env=env,
                                   capture_output=True, text=True, check=True)
             outs.append(proc.stdout.splitlines())
-        assert outs[0] and outs[0] == outs[1]
+        assert len(outs[0]) == 29 + 6650 + 1332 and outs[0] == outs[1]
 
     def test_no_alpha_duplicates(self):
         for size in (2, 3, 4):
@@ -152,9 +191,9 @@ class TestEnumerateRules:
         keyed = []
         order_key = generate._pool_order_key
 
-        def key(bias, rule):
-            keyed.append(rule)
-            return order_key(bias, rule)
+        def key(keydata, canon):
+            keyed.append(canon)
+            return order_key(keydata, canon)
 
         def check(deadline):
             if keyed:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -86,6 +87,19 @@ class TestInjectNoise:
 
 
 class TestGenerateTask:
+    @pytest.mark.parametrize("family,n,digest", [
+        ("evens", 200, "15aa2018262bf45e"),
+        ("dropk", 100, "cb99d6d9a0dc0686"),
+        ("reverse", 50, "d13c065c7bfb510c"),
+        ("sorted", 50, "1fbee78295550a1e"),
+    ])
+    def test_list_examples_are_pinned(self, family, n, digest):
+        # these families label sampled atoms with Evaluator.covers; the
+        # digests were taken before covers cached its compiled programs
+        t = generate_task(family, n, 0)
+        text = repr((t.train.pos, t.train.neg, t.test.pos, t.test.neg))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     @pytest.mark.parametrize("family", ["evens", "dropk", "reverse", "sorted",
                                         "zendo1", "zendo2"])
     def test_ground_truth_is_perfect_on_both_splits(self, family):
