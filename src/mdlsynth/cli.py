@@ -33,7 +33,7 @@ def _cmd_learn(args) -> int:
     t = time.perf_counter()
     h, stats = learn(task.bk, task.train, task.bias, config)
     wall = time.perf_counter() - t
-    cov = Evaluator(task.bk, task.train).test(h)
+    cov = Evaluator(task.bk, task.train, config.budget).test(h)
     if not args.trace:
         for rule in sorted(h, key=format_rule):
             print(format_rule(rule))

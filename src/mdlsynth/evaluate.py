@@ -26,8 +26,12 @@ The decision procedure is top-down SLD-style resolution with:
 which it runs: a ``+`` position must be bound, a ``-`` position may be
 free, and the function returns ``None`` (defers) exactly when no mode has
 all its ``+`` positions bound.  ``BackgroundKnowledge.modes`` gives these
-modes for the built-ins it actually runs; the generator reads them to drop
-recursive rules that would call themselves with an unbound argument.
+modes for the built-ins it actually runs.  ``mode_closure`` runs a rule's
+body under these modes, starting with the head variables bound: it gives
+the variables that can ever be bound and the literals that can never run.
+The generator reads it to drop recursive rules that would call themselves
+with an unbound argument, and ``Evaluator`` to skip proofs that cannot
+succeed.
 
 One loop, ``_cover``, proves examples.  Each rule's coverage is computed
 alone and cached, and a program's coverage starts as the union of its rules'
@@ -36,6 +40,16 @@ feed another (no head predicate occurs in any body, and background clauses
 never call hypothesis heads).  For a recursive program of several rules it
 is a sound lower bound, and only the examples it leaves are proven against
 the whole program.
+
+Some coverages are decided with no proof, when the background neither
+defines, runs nor calls a head predicate of the program.  A rule with a literal
+that never runs can never complete, since the deferral rule never selects
+that literal; it is dropped.  If every rule left calls a head predicate, no
+head atom has a proof, so a lone recursive rule covers nothing, and neither
+does a program whose only base rule never runs.  If no rule left calls
+one, what remains is not recursive and the union of the rules' own
+coverages is exact.  ``proofs_skipped`` counts these decisions.  The
+coverages are the ones the proofs would give, so the search is unchanged.
 """
 
 from __future__ import annotations
@@ -44,7 +58,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .logic import Hypothesis, Literal, Rule, Var, is_recursive, prog_size
+from .logic import Hypothesis, Literal, Rule, Var, head_preds, is_recursive, prog_size
 
 __all__ = [
     "EngineError",
@@ -56,6 +70,7 @@ __all__ = [
     "mdl_cost",
     "DEFAULT_BUILTINS",
     "BUILTIN_MODES",
+    "mode_closure",
     "SearchTimeout",
     "check_deadline",
 ]
@@ -284,6 +299,40 @@ BUILTIN_MODES = {
 }
 
 
+def _runs(lit: Literal, bound, modes) -> bool:
+    """True iff ``lit`` can run once ``bound`` are bound: it has no modes,
+    or one of its modes has each "+" argument bound or constant."""
+    lit_modes = modes.get((lit.pred, len(lit.args)))
+    return lit_modes is None or any(
+        all(m == "-" or not isinstance(a, Var) or a in bound
+            for m, a in zip(mode, lit.args))
+        for mode in lit_modes)
+
+
+def mode_closure(head: Literal, body, modes):
+    """Runs the literals of ``body`` in any order the modes allow, starting
+    with the variables of ``head`` bound.  ``modes`` maps a predicate key to
+    its modes, as in ``BUILTIN_MODES``: such a literal runs once the "+"
+    positions of one of its modes are bound.  Any other literal (a fact, a
+    background rule, a target) runs at once, and a literal that runs binds
+    all of its variables.  Returns the variables bound at the fixpoint and
+    the literals that never run.
+
+    The bound set holds every variable that a proof can bind, since a
+    built-in that ``_solve`` selects has the "+" positions of a mode bound,
+    so a literal left over is never selected and no proof through the rule
+    completes."""
+    bound = {a for a in head.args if isinstance(a, Var)}
+    waiting = list(body)
+    ran = True
+    while ran:
+        ran = [lit for lit in waiting if _runs(lit, bound, modes)]
+        for lit in ran:
+            waiting.remove(lit)
+            bound.update(a for a in lit.args if isinstance(a, Var))
+    return bound, waiting
+
+
 # ---------------------------------------------------------------------------
 # Background knowledge
 # ---------------------------------------------------------------------------
@@ -369,6 +418,7 @@ class Evaluator:
         self.budget = budget or EvalBudget()
         self.deadline = deadline  # a time.perf_counter() value
         self.budget_exhausted = 0
+        self.proofs_skipped = 0  # coverages decided without a proof
         self._rule_cov: dict = {}
         self._programs: dict = {}  # hypothesis -> compiled, for covers
         self._known = bk.known_predicates()
@@ -376,6 +426,10 @@ class Evaluator:
         self._facts_by_first = bk._facts_by_first
         self._user_keys = set(bk._facts_by_pred) | set(bk._rules_by_pred)
         self._builtins = bk.builtins
+        self._modes = bk.modes()
+        # predicates that the background defines, runs or calls
+        self._bk_keys = self._known | {
+            (b.pred, len(b.args)) for r in bk.rules for b in r.body}
 
     # ---- public API ------------------------------------------------------
 
@@ -396,9 +450,13 @@ class Evaluator:
             pos |= p
             neg |= n
         if len(h) > 1 and is_recursive(h):
-            # the union of solo coverages is a sound lower bound; prove only
-            # the examples it leaves
-            pos, neg = self._cover(self._compile(h), pos, neg)
+            calls = self._live_calls(h)
+            if calls is None or (any(calls) and not all(calls)):
+                # the union of solo coverages is a sound lower bound; prove
+                # only the examples it leaves
+                pos, neg = self._cover(self._compile(h), pos, neg)
+            else:
+                self.proofs_skipped += 1
         ex = self.examples
         return Coverage(pos, neg, ex.num_pos, ex.num_neg)
 
@@ -414,9 +472,28 @@ class Evaluator:
     def _rule_coverage(self, rule: Rule):
         cov = self._rule_cov.get(rule)
         if cov is None:
-            cov = self._rule_cov[rule] = self._cover(
-                self._compile(frozenset((rule,))), 0, 0)
+            h = frozenset((rule,))
+            calls = self._live_calls(h)
+            if calls is not None and all(calls):
+                # it never runs, or it calls its own head and nothing else
+                # defines that
+                self.proofs_skipped += 1
+                cov = (0, 0)
+            else:
+                cov = self._cover(self._compile(h), 0, 0)
+            self._rule_cov[rule] = cov
         return cov
+
+    def _live_calls(self, h: Hypothesis):
+        """None when the background defines, runs as a built-in or calls a
+        head predicate of ``h``.  Otherwise, for each rule of ``h`` whose
+        every body literal can run (see ``mode_closure``), whether that rule
+        calls a head predicate."""
+        heads = head_preds(h)
+        if not heads.isdisjoint(self._bk_keys):
+            return None
+        return [any((b.pred, len(b.args)) in heads for b in r.body)
+                for r in h if not mode_closure(r.head, r.body, self._modes)[1]]
 
     def _cover(self, prog, pos: int, neg: int):
         """Adds to the masks ``pos``/``neg`` every example ``prog`` proves

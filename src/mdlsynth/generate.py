@@ -24,16 +24,19 @@ computed once per rule of a usable pool, so the skip leaves every other
 candidate in its place in the order.
 
 A rule is usable unless it calls a target with an unbound argument.  The
-bound variables are the head's, closed under every non-recursive body
-literal that can run: a built-in with input modes (see
-``evaluate.BUILTIN_MODES``) runs once the ``+`` positions of one of its
-modes are bound, and any other predicate always runs.  A rule with a target
-literal is usable only when every variable of every target literal is
-bound; any other rule is usable.  So ``evens(A):- evens(B),tail(C,A),
-tail(C,B).`` is never yielded, though it stays in its pool, which is the
-parent set of the next size.  This narrows the bias space.  The rules it
-drops call their target with a free argument, and SLD resolution of such
-a call often recurses to the depth bound on every example.
+bound variables are those of ``evaluate.mode_closure`` over the body
+literals that call no target: it starts from the head's variables, a
+built-in with input modes (see ``evaluate.BUILTIN_MODES``) runs once the
+``+`` positions of one of its modes are bound, and any other predicate
+always runs.  A rule with a target literal is usable only when every
+variable of every target literal is bound; any other rule is usable.  So
+``evens(A):- evens(B),tail(C,A),tail(C,B).`` is never yielded, though it
+stays in its pool, which is the parent set of the next size.  This narrows
+the bias space.  The rules it drops call their target with a free
+argument, and SLD resolution of such a call often recurses to the depth
+bound on every example.  A rule with a built-in that never runs, such as
+``dropk(A,B,C):- tail(D,C).``, stays usable: it proves nothing, and
+``Evaluator`` decides that without a proof.
 
 Constraint filtering happens at yield time, with one store query per
 candidate: ``singleton_pruned`` for a single rule, ``violates`` for a
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field
 from itertools import count, permutations, product
 
 from .constrain import ConstraintStore
-from .evaluate import check_deadline
+from .evaluate import check_deadline, mode_closure
 from .logic import Literal, Rule, Var, _literal_sort_key, is_separable
 # bound here so that a profiler can patch generate.canonicalize; the pool
 # build computes canonical forms on template indices instead
@@ -445,32 +448,17 @@ def _partitions(total: int, max_rules: int, min_size: int, max_size: int):
     return res
 
 
-def _runs(lit: Literal, bound, modes) -> bool:
-    """True iff ``lit`` can run once ``bound`` are bound: it has no modes,
-    or one of its modes has each "+" argument bound or constant."""
-    lit_modes = modes.get((lit.pred, len(lit.args)))
-    return lit_modes is None or any(
-        all(m == "-" or not isinstance(a, Var) or a in bound
-            for m, a in zip(mode, lit.args))
-        for mode in lit_modes)
-
-
 def usable(rule: Rule, targets, modes) -> bool:
     """True iff every variable of every target literal in the body of
-    ``rule`` is bound (see the module docstring).  ``modes`` maps a
-    predicate key to its modes, as in ``evaluate.BUILTIN_MODES``; a
-    predicate without modes binds all of its arguments."""
+    ``rule`` is bound by the ``evaluate.mode_closure`` of the other body
+    literals (see the module docstring).  ``modes`` maps a predicate key to
+    its modes, as in ``evaluate.BUILTIN_MODES``; a predicate without modes
+    binds all of its arguments."""
     calls = [b for b in rule.body if (b.pred, len(b.args)) in targets]
     if not calls:
         return True
-    bound = {a for a in rule.head.args if isinstance(a, Var)}
-    waiting = [b for b in rule.body if b not in calls]
-    ran = True
-    while ran:
-        ran = [lit for lit in waiting if _runs(lit, bound, modes)]
-        for lit in ran:
-            waiting.remove(lit)
-            bound.update(a for a in lit.args if isinstance(a, Var))
+    bound, _ = mode_closure(
+        rule.head, [b for b in rule.body if b not in calls], modes)
     return all(a in bound for b in calls for a in b.args if isinstance(a, Var))
 
 

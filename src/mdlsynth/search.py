@@ -79,6 +79,7 @@ class SearchStats:
     combine_calls: int = 0
     pool_size: int = 0
     budget_exhausted: int = 0
+    proofs_skipped: int = 0  # coverages decided without a proof
     timed_out: bool = False
     completed: bool = False
     best_cost: int = 0
@@ -156,6 +157,7 @@ def _print_timing(stats: SearchStats, trace):
     print(f"Num. programs: {stats.programs_tested}")
     print(f"Skipped, every rule calls a target: {stats.candidates_skipped} "
           f"of {stats.candidates_seen} candidates")
+    print(f"Coverages decided without a proof: {stats.proofs_skipped}")
     op_total = sum(stats.stage_time.values())
     for stage in ("Generate", "Test", "Constrain", "Combine"):
         key = stage.lower()
@@ -266,6 +268,7 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
     stats.candidates_skipped = gen.candidates_skipped
     stats.pool_size = len(pool)
     stats.budget_exhausted = ev.budget_exhausted
+    stats.proofs_skipped = ev.proofs_skipped
     stats.total_time = time.perf_counter() - t0
     _print_solution(best, best_cov, config.trace)
     _print_timing(stats, config.trace)

@@ -100,6 +100,7 @@ class RunReport:
                 "constraints_derived": self.stats.constraints_derived,
                 "combine_calls": self.stats.combine_calls,
                 "budget_exhausted": self.stats.budget_exhausted,
+                "proofs_skipped": self.stats.proofs_skipped,
                 "timed_out": self.stats.timed_out,
                 "completed": self.stats.completed,
                 "best_cost_trajectory": self.stats.trajectory,
@@ -408,10 +409,11 @@ def generate_task(family: str, n_examples: int, seed: int,
 
 def evaluate(h: Hypothesis, task: Task, stats: SearchStats | None = None,
              wall_time: float = 0.0, config: SearchConfig | None = None) -> RunReport:
-    """Train/test measurement of a hypothesis on a task."""
-    train_cov = Evaluator(task.bk, task.train).test(h)
-    test_ev = Evaluator(task.bk, task.test)
-    test_cov = test_ev.test(h)
+    """Train/test measurement of a hypothesis on a task, under the
+    evaluation budget of ``config`` (the default one without it)."""
+    budget = config.budget if config else None
+    train_cov = Evaluator(task.bk, task.train, budget).test(h)
+    test_cov = Evaluator(task.bk, task.test, budget).test(h)
     total = task.test.num_pos + task.test.num_neg
     acc = (test_cov.tp + test_cov.tn) / total if total else 0.0
     return RunReport(

@@ -242,6 +242,30 @@ def naive_usable(rule: Rule, targets, modes) -> bool:
     return False
 
 
+def naive_mode_runs(rule: Rule, modes) -> tuple:
+    """(bound, ran): the body literals that run in some order of the body
+    that runs every literal before them, each with the rule's head
+    variables bound at the start, and the variables bound once they have
+    all run.  A predicate with ``modes`` runs only in a mode whose "+"
+    positions are bound or constant, any other predicate always; a literal
+    that runs binds all its variables."""
+    head_vars = {a for a in rule.head.args if isinstance(a, Var)}
+    ran = set()
+    for order in permutations(rule.body):
+        bound = set(head_vars)
+        for lit in order:
+            key = (lit.pred, len(lit.args))
+            if key in modes and not any(
+                    all(a in bound for m, a in zip(mode, lit.args)
+                        if m == "+" and isinstance(a, Var))
+                    for mode in modes[key]):
+                break
+            ran.add(lit)
+            bound.update(a for a in lit.args if isinstance(a, Var))
+    return head_vars | {a for lit in ran for a in lit.args
+                        if isinstance(a, Var)}, ran
+
+
 def naive_has_base_case(h, targets) -> bool:
     """Some rule of ``h`` calls no target.  Background that neither defines
     nor calls a target proves no target atom, so without such a rule no

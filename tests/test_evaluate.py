@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from mdlsynth import evaluate
+from mdlsynth.constrain import ConstraintStore
 from mdlsynth.evaluate import (
     BUILTIN_MODES,
     DEFAULT_BUILTINS,
@@ -18,14 +19,16 @@ from mdlsynth.evaluate import (
     SearchTimeout,
     _FVar,
     mdl_cost,
+    mode_closure,
 )
-from mdlsynth.logic import Literal, Var, program_subsumes, prog_size
+from mdlsynth.generate import GeneratorState, usable
+from mdlsynth.logic import Literal, Var, is_recursive, program_subsumes, prog_size
 from mdlsynth.parsing import parse_ground_atom, parse_rules
 
 from mdlsynth.tasks import _GT, generate_task
 
 from .helpers import random_hypothesis, tiny_task
-from .oracles import fixpoint_coverage
+from .oracles import fixpoint_coverage, naive_mode_runs, naive_usable
 
 
 def prog(text):
@@ -251,11 +254,12 @@ class TestBudget:
         bk = BackgroundKnowledge()
         ex = ExampleSet((atom("f([1,2])"),), ())
         ev = Evaluator(bk, ex, EvalBudget(max_depth=30, max_steps=5))
-        h = prog("f(A):- tail(A,B),f(B),head(A,C),one(C).")
+        # the base rule runs but never succeeds: a list is never its own tail
+        h = prog("f(A):- tail(A,B),f(B),head(A,C),one(C).  f(A):- tail(A,A).")
         cov = ev.test(h)
         assert cov.tp == 0
-        # a lone recursive rule is proven once per example, not once alone
-        # and again as a whole program
+        # the lone recursive rule is never proven and the base rule alone
+        # stays inside the budget; only the whole program runs out, once
         assert ev.budget_exhausted == 1
 
     def test_recursive_program_proves_only_uncovered_examples(self):
@@ -295,13 +299,164 @@ class TestBudget:
         assert ev.test(h).tp == 0
 
 
+LIST_FAMILIES = ["evens", "dropk", "sorted", "reverse"]
+
+
+def family_rules(family, sizes=(2, 3, 4)):
+    task = generate_task(family, 10, 0)
+    gen = GeneratorState(task.bias, ConstraintStore(), modes=task.bk.modes())
+    return task, [r for size in sizes for r in gen.pool(size)]
+
+
+def counting_proofs(ev):
+    """Patches ``ev`` to record the example of each proof it runs."""
+    proven = []
+    prove = ev._prove
+
+    def counting(compiled, example, memo):
+        proven.append(example)
+        return prove(compiled, example, memo)
+
+    ev._prove = counting
+    return proven
+
+
+def reference(ev, h):
+    """Masks of ``h`` with every example proven against the whole program."""
+    return ev._cover(ev._compile(h), 0, 0)
+
+
+def masks(cov):
+    return cov.pos_mask, cov.neg_mask
+
+
+class TestModeClosure:
+    @pytest.mark.parametrize("family", LIST_FAMILIES)
+    def test_matches_naive_oracles(self, family):
+        # every rule of the pools, usable or not, against an enumeration of
+        # body orders; usable reads the same closure
+        task, rules = family_rules(family)
+        modes = task.bk.modes()
+        targets = set(task.bias.targets)
+        stuck_rules = 0
+        for rule in rules:
+            bound, stuck = mode_closure(rule.head, rule.body, modes)
+            want_bound, ran = naive_mode_runs(rule, modes)
+            assert set(stuck) == set(rule.body) - ran, rule
+            assert bound == want_bound, rule
+            assert usable(rule, targets, modes) == naive_usable(
+                rule, targets, modes), rule
+            stuck_rules += bool(stuck)
+        assert 0 < stuck_rules < len(rules)
+
+
+class TestProofShortcuts:
+    BUDGET = EvalBudget(max_depth=12, max_steps=500)
+
+    @pytest.mark.parametrize("family", LIST_FAMILIES)
+    def test_random_programs_match_whole_program_proofs(self, family):
+        task, rules = family_rules(family)
+        targets = set(task.bias.targets)
+        calling, base = [], []
+        for r in rules:
+            calls = any((b.pred, b.arity) in targets for b in r.body)
+            (calling if calls else base).append(r)
+        rng = random.Random(LIST_FAMILIES.index(family))
+        programs = [frozenset((r,)) for r in rng.sample(rules, 50)]
+        # half of the pairs with a rule that calls no target
+        programs += [h for h in (frozenset((rng.choice(calling),
+                                            rng.choice(rules if i % 2 else base)))
+                                 for i in range(100)) if len(h) == 2]
+        assert all(is_recursive(h) for h in programs[50:])
+        ev = Evaluator(task.bk, task.train, self.BUDGET)
+        ref = Evaluator(task.bk, task.train, self.BUDGET)
+        off = Evaluator(task.bk, task.train, self.BUDGET)
+        off._live_calls = lambda h: None  # proves every program
+        compared = 0
+        for h in programs:
+            got = masks(ev.test(h))
+            # without the shortcut: the same masks, budget or not
+            assert got == masks(off.test(h)), h
+            before = ref.budget_exhausted
+            want = reference(ref, h)
+            # a proof that runs out of budget may miss what a rule alone proves
+            if ref.budget_exhausted == before:
+                assert got == want, h
+                compared += 1
+        assert ev.proofs_skipped > 0
+        assert compared >= len(programs) // 2
+
+    def test_rule_that_never_runs(self):
+        # tail needs its first argument, and D is never bound
+        task = generate_task("dropk", 20, 0)
+        ev = Evaluator(task.bk, task.train)
+        proven = counting_proofs(ev)
+        h = prog("dropk(A,B,C):- tail(D,C).")
+        assert masks(ev.test(h)) == (0, 0) == reference(Evaluator(task.bk, task.train), h)
+        assert proven == [] and ev.proofs_skipped == 1
+        ev.test(h)  # cached
+        assert ev.proofs_skipped == 1
+
+    def test_program_whose_base_rule_never_runs(self):
+        task = generate_task("dropk", 20, 0)
+        ev = Evaluator(task.bk, task.train)
+        proven = counting_proofs(ev)
+        h = prog("dropk(A,B,C):- decrement(B,D),dropk(A,D,C)."
+                 "dropk(A,B,C):- tail(D,A).")
+        assert masks(ev.test(h)) == (0, 0)
+        assert reference(Evaluator(task.bk, task.train), h) == (0, 0)
+        # two lone rules and the program
+        assert proven == [] and ev.proofs_skipped == 3
+
+    def test_program_whose_recursive_rule_never_runs(self):
+        # what is left is the base rule, whose own coverage is exact
+        task = generate_task("dropk", 20, 0)
+        ev = Evaluator(task.bk, task.train)
+        base = prog("dropk(A,B,C):- tail(A,C),one(B).")
+        h = base | prog("dropk(A,B,C):- dropk(A,D,C),tail(E,D).")
+        want = masks(ev.test(base))
+        assert want[0]
+        proven = counting_proofs(ev)
+        assert masks(ev.test(h)) == want == reference(
+            Evaluator(task.bk, task.train), h)
+        assert proven == [] and ev.proofs_skipped == 2
+
+    def test_no_shortcut_when_the_background_defines_a_head(self):
+        bk = BackgroundKnowledge.from_source("f([]).")
+        ex = ExampleSet((atom("f([1,2])"), atom("f([3])")), (atom("g(1)"),))
+        ev = Evaluator(bk, ex)
+        cov = ev.test(prog("f(A):- tail(A,B),f(B)."))
+        assert cov.tp == 2 and ev.proofs_skipped == 0
+
+    def test_no_shortcut_for_a_head_named_as_a_built_in(self):
+        # the program's clauses for tail/2 replace the built-in: its
+        # recursive call runs, though the built-in's modes say it cannot
+        ex = ExampleSet((atom("tail(0,1)"), atom("tail(1,0)")), (atom("tail(0,2)"),))
+        ev = Evaluator(BackgroundKnowledge(), ex)
+        h = prog("tail(A,B):- tail(C,A),one(B).  tail(A,B):- one(A),zero(B).")
+        assert masks(ev.test(h)) == (0b11, 0) == reference(ev, h)
+        assert ev.proofs_skipped == 0
+
+    def test_no_shortcut_when_the_background_calls_a_head(self):
+        # the recursive rule never runs, and the rest reaches f only
+        # through the background rule
+        bk = BackgroundKnowledge.from_source("g(A):- tail(A,B),f(B).")
+        ex = ExampleSet((atom("f([])"), atom("f([1])"), atom("f([1,2])")), ())
+        ev = Evaluator(bk, ex)
+        h = prog("f(A):- empty(A).  f(A):- g(A).  f(A):- f(B),tail(C,B).")
+        assert masks(ev.test(h)) == (0b111, 0) == reference(ev, h)
+        assert ev.proofs_skipped == 0
+
+
 class TestDeadline:
     def test_stops_a_program_that_exhausts_every_budget(self):
         # the second rule swaps the lists, so SLD resolution runs every
-        # example to its step budget, twice
+        # example to its step budget, twice; the base rule runs but never
+        # succeeds, so the program must be proven
         task = generate_task("dropk", 40, 0)
         h = prog("dropk(A,B,C):- decrement(B,D),dropk(A,D,C)."
-                 "dropk(A,B,C):- dropk(C,B,A).")
+                 "dropk(A,B,C):- dropk(C,B,A)."
+                 "dropk(A,B,C):- decrement(B,B).")
         deadline = time.perf_counter() + 0.5
         ev = Evaluator(task.bk, task.train, deadline=deadline)
         with pytest.raises(SearchTimeout):

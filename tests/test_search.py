@@ -304,6 +304,37 @@ class TestBaseCase:
         assert all(naive_has_base_case(h, targets) for h in tested if h)
 
 
+class TestProofShortcuts:
+    @pytest.mark.parametrize("family, n", [("evens", 40), ("sorted", 20)])
+    def test_same_search_without_them(self, monkeypatch, family, n):
+        # a coverage decided without a proof is the one the proofs give, so
+        # learn tests the same programs in the same order at the same costs
+        task = generate_task(family, n, 0)
+        test = Evaluator.test
+
+        def run():
+            tested = []
+
+            def record(ev, h):
+                cov = test(ev, h)
+                tested.append((h, mdl_cost(h, cov)))
+                return cov
+
+            monkeypatch.setattr(Evaluator, "test", record)
+            h, stats = learn(task.bk, task.train, task.bias,
+                             SearchConfig(timeout=120))
+            assert stats.completed
+            return tested, h, stats
+
+        tested, h, stats = run()
+        assert stats.proofs_skipped > 0
+        monkeypatch.setattr(Evaluator, "_live_calls", lambda ev, h: None)
+        tested_off, h_off, stats_off = run()
+        assert stats_off.proofs_skipped == 0
+        assert tested == tested_off
+        assert (h, stats.best_cost) == (h_off, stats_off.best_cost)
+
+
 class TestInvariantCheck:
     def test_initial_state_passes(self):
         bk = BackgroundKnowledge(builtins={})
