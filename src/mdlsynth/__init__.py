@@ -35,6 +35,6 @@ from .logic import (
 )
 from .parsing import ParseError, parse_examples, parse_ground_atom, parse_rules
 from .search import SearchConfig, SearchStats, learn, loop_invariant_check
-from .tasks import RunReport, Task, bench, generate_task, inject_noise, run_task
+from .tasks import RunReport, Task, generate_task, inject_noise
 
 __version__ = "0.1.0"

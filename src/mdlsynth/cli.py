@@ -1,23 +1,45 @@
-"""Command-line entry points: learn, gen-task, bench."""
+"""Command-line entry points: learn and gen-task.
+
+``learn`` prints the program it found, one rule a line, then comment
+lines with the program's training counts and MDL cost and with the
+search's counters.  ``--trace`` also prints, while the search runs, each
+program size it starts and each new best program, and, at the end, the
+calls and time of each stage.  All of it is rendered from the run's
+``SearchStats`` and one ``tasks.evaluate`` report, which ``--report``
+writes as JSON.
+
+Bad input, such as a missing file, a malformed task file or an option
+out of range, ends with one ``mdlsynth: error: <message>`` line on
+standard error and exit status 2.
+"""
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
-from .evaluate import EvalBudget, Evaluator
-from .logic import format_rule, prog_size
-from .search import SearchConfig, learn
-from .tasks import (
-    FAMILIES,
-    bench,
-    evaluate,
-    generate_task,
-    load_task,
-    write_task_dir,
-)
+from .evaluate import EvalBudget
+from .search import SearchConfig, SearchStats, learn, print_program
+from .tasks import FAMILIES, evaluate, generate_task, load_task, write_task_dir
+
+
+def _print_timing(stats: SearchStats) -> None:
+    print(f"Num. programs: {stats.programs_tested}")
+    print(f"Skipped, every rule calls a target: {stats.candidates_skipped} "
+          f"of {stats.candidates_seen} candidates")
+    print(f"Coverages decided without a proof: {stats.proofs_skipped}")
+    op_total = sum(stats.stage_time.values())
+    for stage in ("generate", "test", "constrain", "combine"):
+        calls = stats.stage_calls.get(stage, 0)
+        total = stats.stage_time.get(stage, 0.0)
+        mean = total / calls if calls else 0.0
+        pct = int(100 * total / op_total) if op_total else 0
+        print(f"{stage.capitalize()}: called {calls} times, total {total:.2f}s, "
+              f"mean {mean:.3f}s, max {stats.stage_max.get(stage, 0.0):.3f}s, "
+              f"{pct}%")
+    print(f"Total operation time: {op_total:.2f}s")
+    print(f"Total execution time: {stats.total_time:.2f}s")
 
 
 def _cmd_learn(args) -> int:
@@ -32,21 +54,18 @@ def _cmd_learn(args) -> int:
     )
     t = time.perf_counter()
     h, stats = learn(task.bk, task.train, task.bias, config)
-    wall = time.perf_counter() - t
-    cov = Evaluator(task.bk, task.train, config.budget).test(h)
-    if not args.trace:
-        for rule in sorted(h, key=format_rule):
-            print(format_rule(rule))
-        print(f"% size:{prog_size(h)} tp:{cov.tp} fn:{cov.fn} "
-              f"tn:{cov.tn} fp:{cov.fp} cost:{stats.best_cost}")
+    report = evaluate(h, task, stats=stats,
+                      wall_time=time.perf_counter() - t, config=config)
+    print_program(h, report.train_cov)
     print(f"% programs tested: {stats.programs_tested}  "
           f"constraints: {stats.constraints_derived}  "
           f"combine calls: {stats.combine_calls}  "
           f"eval budget exhausted: {stats.budget_exhausted}  "
-          f"time: {wall:.2f}s"
+          f"time: {report.wall_time:.2f}s"
           f"{'  (timeout)' if stats.timed_out else ''}")
+    if args.trace:
+        _print_timing(stats)
     if args.report:
-        report = evaluate(h, task, stats=stats, wall_time=wall, config=config)
         with open(args.report, "w") as f:
             f.write(report.to_json())
         print(f"% report written to {args.report}")
@@ -61,24 +80,6 @@ def _cmd_gen_task(args) -> int:
     print(f"wrote {task.name} to {args.out} "
           f"(train {task.train.num_pos}+/{task.train.num_neg}-, "
           f"test {task.test.num_pos}+/{task.test.num_neg}-)")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    with open(args.grid) as f:
-        grid = json.load(f)
-    rows = bench(grid)
-    header = f"{'task':<10} {'n':>5} {'noise':>6} {'acc':>14} {'time':>8}"
-    print(header)
-    print("-" * len(header))
-    for r in rows:
-        print(f"{r['task']:<10} {r['n']:>5} {r['noise']:>6.2f} "
-              f"{r['acc_mean'] * 100:>7.1f} ± {r['acc_stderr'] * 100:<4.1f} "
-              f"{r['time_mean']:>7.1f}s")
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(rows, f, indent=2)
-        print(f"results written to {args.out}")
     return 0
 
 
@@ -102,7 +103,9 @@ def main(argv=None) -> int:
     p.add_argument("--no-noisy-constraints", action="store_true",
                    help="disable noise-tolerant pruning constraints")
     p.add_argument("--trace", action="store_true",
-                   help="print best-hypothesis blocks and stage timings")
+                   help="print each program size as the search starts it, "
+                        "each new best program, and the calls and time of "
+                        "each stage")
     p.add_argument("--report", help="write a JSON run report here")
     p.add_argument("--max-depth", type=int, default=30,
                    help="resolution depth bound per example")
@@ -119,13 +122,12 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=_cmd_gen_task)
 
-    p = sub.add_parser("bench", help="run a (task x noise x seed) grid")
-    p.add_argument("--grid", required=True, help="grid JSON file")
-    p.add_argument("--out", help="write rows as JSON here")
-    p.set_defaults(fn=_cmd_bench)
-
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as e:
+        print(f"{parser.prog}: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

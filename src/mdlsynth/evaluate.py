@@ -97,6 +97,14 @@ class EvalBudget:
     max_depth: int = 30
     max_steps: int = 1_000_000
 
+    def __post_init__(self):
+        # with no depth or no step no proof can finish, and every example
+        # would count as an exhaustion instead of as a coverage
+        for name in ("max_depth", "max_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
+
     def depth_schedule(self):
         if self.max_depth > 8:
             return (8, self.max_depth)

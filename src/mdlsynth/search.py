@@ -53,7 +53,7 @@ from .logic import (
 )
 
 __all__ = ["SearchConfig", "SearchStats", "SearchState", "learn",
-           "loop_invariant_check"]
+           "loop_invariant_check", "print_program"]
 
 
 @dataclass
@@ -71,6 +71,10 @@ class SearchConfig:
 
 @dataclass
 class SearchStats:
+    """The record of one ``learn`` call.  The CLI's summary and ``--trace``
+    text render it, and the JSON run report holds every field under its
+    own name."""
+
     programs_tested: int = 0
     candidates_seen: int = 0
     candidates_pruned: int = 0
@@ -124,53 +128,13 @@ def loop_invariant_check(state: SearchState) -> bool:
     return True
 
 
-def _print_best(h, cov, size, cost, trace):
-    if not trace:
-        return
-    print("*" * 20)
-    print("New best hypothesis:")
-    print(f"tp:{cov.tp} fn:{cov.fn} tn:{cov.tn} fp:{cov.fp} size:{size} cost:{cost}")
+def print_program(h: Hypothesis, cov: Coverage) -> None:
+    """Prints ``h``, one rule a line, then a comment line with its
+    coverage counts, size and MDL cost."""
     for rule in sorted(h, key=format_rule):
         print(format_rule(rule))
-    print("*" * 20)
-    print(f"new best cost {cost}")
-
-
-def _print_solution(h, cov, trace):
-    if not trace:
-        return
-    tp, fp, fn = cov.tp, cov.fp, cov.fn
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    print("*" * 10, "SOLUTION", "*" * 10)
-    print(f"Precision:{precision:.2f} Recall:{recall:.2f} "
-          f"TP:{tp} FN:{fn} TN:{cov.tn} FP:{fp} "
-          f"Size:{prog_size(h)} cost:{prog_size(h) + fn + fp}")
-    for rule in sorted(h, key=format_rule):
-        print(format_rule(rule))
-    print("*" * 30)
-
-
-def _print_timing(stats: SearchStats, trace):
-    if not trace:
-        return
-    print(f"Num. programs: {stats.programs_tested}")
-    print(f"Skipped, every rule calls a target: {stats.candidates_skipped} "
-          f"of {stats.candidates_seen} candidates")
-    print(f"Coverages decided without a proof: {stats.proofs_skipped}")
-    op_total = sum(stats.stage_time.values())
-    for stage in ("Generate", "Test", "Constrain", "Combine"):
-        key = stage.lower()
-        calls = stats.stage_calls.get(key, 0)
-        total = stats.stage_time.get(key, 0.0)
-        mean = total / calls if calls else 0.0
-        pct = int(100 * total / op_total) if op_total else 0
-        print(f"{stage}:")
-        print(f"\tCalled: {calls} times \t Total: {total:.2f} \t "
-              f"Mean: {mean:.3f} \t Max: {stats.stage_max.get(key, 0.0):.3f} \t "
-              f"Percentage: {pct}%")
-    print(f"Total operation time: {op_total:.2f}s")
-    print(f"Total execution time: {stats.total_time:.2f}s")
+    print(f"% size:{prog_size(h)} tp:{cov.tp} fn:{cov.fn} tn:{cov.tn} "
+          f"fp:{cov.fp} cost:{mdl_cost(h, cov)}")
 
 
 def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
@@ -190,7 +154,6 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
     pool = PromisingPool()
 
     best: Hypothesis = frozenset()
-    best_cov = Coverage(0, 0, num_pos, examples.num_neg)
     best_cost = num_pos
     max_mdl = num_pos
     stats.trajectory.append((0.0, best_cost))
@@ -206,11 +169,15 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
             stats.record_stage(name, time.perf_counter() - t)
 
     def set_best(h, cov, cost):
-        nonlocal best, best_cov, best_cost, max_mdl
-        best, best_cov, best_cost = h, cov, cost
+        nonlocal best, best_cost, max_mdl
+        best, best_cost = h, cost
         max_mdl = cost - 1
         stats.trajectory.append((time.perf_counter() - t0, cost))
-        _print_best(h, cov, prog_size(h), cost, config.trace)
+        if config.trace:
+            print("*" * 20)
+            print("New best hypothesis:")
+            print_program(h, cov)
+            print("*" * 20)
 
     def run_combine():
         stats.combine_calls += 1
@@ -270,8 +237,6 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
     stats.budget_exhausted = ev.budget_exhausted
     stats.proofs_skipped = ev.proofs_skipped
     stats.total_time = time.perf_counter() - t0
-    _print_solution(best, best_cov, config.trace)
-    _print_timing(stats, config.trace)
     return best, stats
 
 

@@ -13,9 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
-import statistics
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .evaluate import (
     BackgroundKnowledge,
@@ -27,7 +25,7 @@ from .evaluate import (
 from .generate import Bias
 from .logic import Hypothesis, Literal, format_rule, prog_size
 from .parsing import parse_examples, parse_rules
-from .search import SearchConfig, SearchStats, learn
+from .search import SearchConfig, SearchStats
 
 __all__ = [
     "Task",
@@ -35,8 +33,6 @@ __all__ = [
     "inject_noise",
     "generate_task",
     "evaluate",
-    "run_task",
-    "bench",
     "load_task",
     "write_task_dir",
     "FAMILIES",
@@ -93,19 +89,7 @@ class RunReport:
                      "fp": self.test_cov.fp, "tn": self.test_cov.tn},
             "test_accuracy": self.test_accuracy,
             "wall_time": self.wall_time,
-            "stats": {
-                "programs_tested": self.stats.programs_tested,
-                "candidates_seen": self.stats.candidates_seen,
-                "candidates_pruned": self.stats.candidates_pruned,
-                "constraints_derived": self.stats.constraints_derived,
-                "combine_calls": self.stats.combine_calls,
-                "budget_exhausted": self.stats.budget_exhausted,
-                "proofs_skipped": self.stats.proofs_skipped,
-                "timed_out": self.stats.timed_out,
-                "completed": self.stats.completed,
-                "best_cost_trajectory": self.stats.trajectory,
-                "stage_time": self.stats.stage_time,
-            },
+            "stats": asdict(self.stats),
             "config": self.config,
             "rng_algorithm": RNG_ALGORITHM,
         }
@@ -433,53 +417,11 @@ def evaluate(h: Hypothesis, task: Task, stats: SearchStats | None = None,
     )
 
 
-def run_task(task: Task, config: SearchConfig | None = None) -> RunReport:
-    config = config or SearchConfig()
-    t = time.perf_counter()
-    h, stats = learn(task.bk, task.train, task.bias, config)
-    wall = time.perf_counter() - t
-    return evaluate(h, task, stats=stats, wall_time=wall, config=config)
-
-
 def coverage_equivalent(h1: Hypothesis, h2: Hypothesis, task: Task) -> bool:
     """Logically equivalent on the task's test set: identical coverage."""
     ev = Evaluator(task.bk, task.test)
     c1, c2 = ev.test(h1), ev.test(h2)
     return c1.pos_mask == c2.pos_mask and c1.neg_mask == c2.neg_mask
-
-
-def bench(grid: dict) -> list:
-    """Run a (task x noise x seed) grid; returns one row per (task, noise)
-    with mean/stderr accuracy and mean time.
-
-    Grid keys: tasks (list of {family, n, seed?}), noise (list of floats),
-    seeds (list of ints), timeout (seconds), n_test (optional)."""
-    rows = []
-    timeout = grid.get("timeout", 60.0)
-    for spec in grid["tasks"]:
-        family = spec["family"]
-        n = spec.get("n", 100)
-        base = generate_task(family, n, spec.get("seed", 0),
-                             n_test=grid.get("n_test"))
-        for p in grid.get("noise", [0.0]):
-            accs, times = [], []
-            for seed in grid.get("seeds", [0]):
-                task = base.with_noise(p, seed) if p else base
-                report = run_task(task, SearchConfig(timeout=timeout))
-                accs.append(report.test_accuracy)
-                times.append(report.wall_time)
-            stderr = (statistics.stdev(accs) / math.sqrt(len(accs))
-                      if len(accs) > 1 else 0.0)
-            rows.append({
-                "task": family,
-                "n": n,
-                "noise": p,
-                "runs": len(accs),
-                "acc_mean": statistics.mean(accs),
-                "acc_stderr": stderr,
-                "time_mean": statistics.mean(times),
-            })
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from mdlsynth.cli import main
 
 
@@ -41,3 +43,50 @@ def test_learn_counts_use_the_learn_budget(tmp_path, capsys):
     assert (tp + fn, tn + fp) == (20, 20)
     assert fn > 0
     assert json.loads(report.read_text())["train_cost"] == cost
+
+
+def _learn_args(task_dir):
+    return ["learn", "--bk", str(task_dir / "bk.pl"),
+            "--bias", str(task_dir / "bias.pl"),
+            "--pos", str(task_dir / "train_pos.pl"),
+            "--neg", str(task_dir / "train_neg.pl")]
+
+
+def test_trace_prints_the_run_record(tmp_path, capsys):
+    task_dir = tmp_path / "zendo1"
+    assert main(["gen-task", "--family", "zendo1", "--n", "20",
+                 "--out", str(task_dir)]) == 0
+    report = tmp_path / "report.json"
+    assert main(_learn_args(task_dir) + ["--timeout", "20", "--trace",
+                                         "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert "Searching programs of size: 2" in out
+    assert "New best hypothesis:" in out
+    assert re.search(r"^% size:\d+ tp:\d+ fn:\d+ tn:\d+ fp:\d+ cost:\d+$",
+                     out, re.M)
+    for stage in ("Generate", "Test", "Constrain", "Combine"):
+        assert re.search(rf"^{stage}: called \d+ times", out, re.M), stage
+    stats = json.loads(report.read_text())["stats"]
+    programs = int(re.search(r"^Num. programs: (\d+)$", out, re.M).group(1))
+    assert programs == stats["programs_tested"] > 0
+
+
+@pytest.mark.parametrize("case", ["missing file", "timeout 0", "noise 1.5",
+                                  "gen-task n 2"])
+def test_bad_input_is_one_error_line(tmp_path, capsys, case):
+    task_dir = tmp_path / "evens"
+    assert main(["gen-task", "--family", "evens", "--n", "8",
+                 "--out", str(task_dir)]) == 0
+    capsys.readouterr()
+    argv = {
+        "missing file": _learn_args(tmp_path / "nowhere"),
+        "timeout 0": _learn_args(task_dir) + ["--timeout", "0"],
+        "noise 1.5": _learn_args(task_dir) + ["--noise", "1.5"],
+        "gen-task n 2": ["gen-task", "--family", "evens", "--n", "2",
+                         "--out", str(tmp_path / "small")],
+    }[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("mdlsynth: error: "), lines

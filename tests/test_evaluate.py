@@ -250,6 +250,11 @@ class TestProperties:
 
 
 class TestBudget:
+    @pytest.mark.parametrize("field", ["max_depth", "max_steps"])
+    def test_empty_budget_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            EvalBudget(**{field: 0})
+
     def test_budget_exhaustion_counts_not_raises(self):
         bk = BackgroundKnowledge()
         ex = ExampleSet((atom("f([1,2])"),), ())

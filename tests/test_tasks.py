@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import math
 import random
 
@@ -7,7 +9,7 @@ import pytest
 from mdlsynth.evaluate import Evaluator, ExampleSet
 from mdlsynth.logic import prog_size
 from mdlsynth.parsing import parse_ground_atom
-from mdlsynth.search import SearchConfig
+from mdlsynth.search import SearchConfig, SearchStats, learn
 from mdlsynth.tasks import (
     Task,
     coverage_equivalent,
@@ -16,7 +18,6 @@ from mdlsynth.tasks import (
     generate_task,
     inject_noise,
     load_task,
-    run_task,
     write_task_dir,
 )
 
@@ -165,13 +166,17 @@ class TestEvaluateReport:
 
     def test_report_json_fields(self):
         task = generate_task("zendo1", 16, seed=4)
-        report = run_task(task, SearchConfig(timeout=20))
-        d = report.to_dict()
+        config = SearchConfig(timeout=20)
+        h, stats = learn(task.bk, task.train, task.bias, config)
+        report = evaluate(h, task, stats=stats, wall_time=1.0, config=config)
+        d = json.loads(report.to_json())
         for key in ("task", "hypothesis", "train", "test", "test_accuracy",
                     "wall_time", "stats", "config", "rng_algorithm"):
             assert key in d
-        assert d["stats"]["programs_tested"] >= 1
-        report.to_json()
+        # every field of the run record reaches the report under its name
+        assert set(d["stats"]) == {f.name for f in dataclasses.fields(SearchStats)}
+        assert d["stats"]["programs_tested"] == stats.programs_tested >= 1
+        assert d["stats"]["trajectory"][-1][1] == d["train_cost"]
 
 
 class TestRoundTrip:
