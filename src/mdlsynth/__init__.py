@@ -7,7 +7,7 @@ selection solver.  Recursive programs are found by the enumeration itself.
 """
 
 from .combine import CombineResult, PromisingPool, decode, solve, to_wcnf
-from .constrain import ConstraintStore, Kind, NoisyConstraint, SearchBounds, derive
+from .constrain import ConstraintStore, Kind, NoisyConstraint, derive
 from .evaluate import (
     BackgroundKnowledge,
     Coverage,

@@ -76,10 +76,6 @@ def format_term(t) -> str:
     return str(t)
 
 
-def format_literal(lit: Literal) -> str:
-    return repr(lit)
-
-
 def _body_sorted(body: Iterable[Literal]) -> list:
     return sorted(body, key=_literal_sort_key)
 
@@ -91,10 +87,10 @@ def _literal_sort_key(lit: Literal):
 
 
 def format_rule(rule: Rule) -> str:
-    head = format_literal(rule.head)
+    head = repr(rule.head)
     if not rule.body:
         return f"{head}."
-    body = ",".join(format_literal(b) for b in _body_sorted(rule.body))
+    body = ",".join(repr(b) for b in _body_sorted(rule.body))
     return f"{head}:- {body}."
 
 
@@ -113,10 +109,6 @@ def prog_size(h: Hypothesis) -> int:
 
 def head_preds(h: Hypothesis) -> set:
     return {(r.head.pred, r.head.arity) for r in h}
-
-
-def body_preds(h: Hypothesis) -> set:
-    return {(b.pred, b.arity) for r in h for b in r.body}
 
 
 def is_recursive(h: Hypothesis) -> bool:

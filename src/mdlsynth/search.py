@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 
 from .combine import PromisingPool, decode, solve
-from .constrain import ConstraintStore, SearchBounds, derive
+from .constrain import ConstraintStore, derive
 from .evaluate import (
     BackgroundKnowledge,
     Coverage,
@@ -65,7 +65,7 @@ class SearchConfig:
     debug: bool = False
 
     def __post_init__(self):
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # also rejects NaN
             raise ValueError("timeout must be positive")
 
 
@@ -216,8 +216,7 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
                 if pool.add(rule, cov):
                     run_combine()
             if config.enable_noisy_constraints:
-                bounds = SearchBounds(best_cost, num_pos)
-                cons = stage("constrain", derive, h, cov, bounds,
+                cons = stage("constrain", derive, h, cov, best_cost, num_pos,
                              bias.max_program_size)
                 for c in cons:
                     if store.add(c):

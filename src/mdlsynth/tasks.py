@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 from .evaluate import (
     BackgroundKnowledge,
     Coverage,
+    EvalBudget,
     Evaluator,
     ExampleSet,
     mdl_cost,
@@ -72,7 +73,7 @@ class RunReport:
     hypothesis: Hypothesis
     train_cov: Coverage
     test_cov: Coverage
-    test_accuracy: float
+    test_accuracy: float | None  # None when the task has no test split
     wall_time: float
     stats: SearchStats
     config: dict
@@ -395,11 +396,11 @@ def evaluate(h: Hypothesis, task: Task, stats: SearchStats | None = None,
              wall_time: float = 0.0, config: SearchConfig | None = None) -> RunReport:
     """Train/test measurement of a hypothesis on a task, under the
     evaluation budget of ``config`` (the default one without it)."""
-    budget = config.budget if config else None
+    budget = config.budget if config else EvalBudget()
     train_cov = Evaluator(task.bk, task.train, budget).test(h)
     test_cov = Evaluator(task.bk, task.test, budget).test(h)
     total = task.test.num_pos + task.test.num_neg
-    acc = (test_cov.tp + test_cov.tn) / total if total else 0.0
+    acc = (test_cov.tp + test_cov.tn) / total if total else None
     return RunReport(
         task=task.name,
         hypothesis=h,
@@ -411,6 +412,8 @@ def evaluate(h: Hypothesis, task: Task, stats: SearchStats | None = None,
         config={
             "timeout": config.timeout if config else None,
             "noisy_constraints": config.enable_noisy_constraints if config else None,
+            "max_depth": budget.max_depth,
+            "max_steps": budget.max_steps,
             "noise_p": task.noise_p,
             "noise_seed": task.noise_seed,
         },

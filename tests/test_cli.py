@@ -36,13 +36,15 @@ def test_learn_counts_use_the_learn_budget(tmp_path, capsys):
                  "--neg", str(task_dir / "train_neg.pl"),
                  "--max-depth", "4", "--timeout", "60",
                  "--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert (data["config"]["max_depth"], data["config"]["max_steps"]) == (4, 1_000_000)
     line = re.search(r"% size:(\d+) tp:(\d+) fn:(\d+) tn:(\d+) fp:(\d+) cost:(\d+)",
                      capsys.readouterr().out)
     size, tp, fn, tn, fp, cost = map(int, line.groups())
     assert size + fn + fp == cost
     assert (tp + fn, tn + fp) == (20, 20)
     assert fn > 0
-    assert json.loads(report.read_text())["train_cost"] == cost
+    assert data["train_cost"] == cost
 
 
 def _learn_args(task_dir):
@@ -71,8 +73,8 @@ def test_trace_prints_the_run_record(tmp_path, capsys):
     assert programs == stats["programs_tested"] > 0
 
 
-@pytest.mark.parametrize("case", ["missing file", "timeout 0", "noise 1.5",
-                                  "gen-task n 2"])
+@pytest.mark.parametrize("case", ["missing file", "timeout 0", "timeout nan",
+                                  "noise 1.5", "gen-task n 2"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, case):
     task_dir = tmp_path / "evens"
     assert main(["gen-task", "--family", "evens", "--n", "8",
@@ -81,6 +83,7 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case):
     argv = {
         "missing file": _learn_args(tmp_path / "nowhere"),
         "timeout 0": _learn_args(task_dir) + ["--timeout", "0"],
+        "timeout nan": _learn_args(task_dir) + ["--timeout", "nan"],
         "noise 1.5": _learn_args(task_dir) + ["--noise", "1.5"],
         "gen-task n 2": ["gen-task", "--family", "evens", "--n", "2",
                          "--out", str(tmp_path / "small")],

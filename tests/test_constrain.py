@@ -6,9 +6,7 @@ from mdlsynth.constrain import (
     ConstraintStore,
     Kind,
     NoisyConstraint,
-    SearchBounds,
     derive,
-    generalisation_fp_threshold,
 )
 from mdlsynth.evaluate import Coverage
 from mdlsynth.logic import prog_size, rule_size
@@ -37,34 +35,38 @@ class TestDerive:
     def test_worked_example(self):
         # tp=3 fp=0 size=2 |E+|=10 fn=7 best cost so far 10
         c = cov(tp=3, fn=7, fp=0, tn=5)
-        got = bounds_of(derive(H, c, SearchBounds(max_mdl=10, pos_count=10), BIG))
+        got = bounds_of(derive(H, c, best_cost=10, num_pos=10, max_size=BIG))
         assert got[Kind.SPECIALISATION] == min(3, 2 + 0) == 2
         assert got[Kind.GENERALISATION] == min(10 - 0, 7 + 2, 10 - 9 + 10 + 2) == 9
 
     def test_totally_incomplete_prunes_all_specialisations(self):
         c = cov(tp=0, fn=10, fp=0, tn=5)
-        got = bounds_of(derive(H, c, SearchBounds(10, 10), BIG))
+        got = bounds_of(derive(H, c, 10, 10, BIG))
         # bound clamps to 1; no program of size 1 exists, so this prunes
         # every proper specialisation
         assert got[Kind.SPECIALISATION] == 1
 
     def test_consistent_complete_generalisation_bound_is_size(self):
         c = cov(tp=10, fn=0, fp=0, tn=5)
-        got = bounds_of(derive(H, c, SearchBounds(10, 10), BIG))
+        got = bounds_of(derive(H, c, 10, 10, BIG))
         assert got[Kind.GENERALISATION] == prog_size(H) == 2
 
     def test_vacuous_bounds_dropped(self):
         c = cov(tp=9, fn=1, fp=3, tn=2)
         # spec bound = min(9, 2+3) = 5; with max size 5 it prunes nothing
-        cons = derive(H, c, SearchBounds(10, 10), max_size=5)
+        cons = derive(H, c, 10, 10, max_size=5)
         assert Kind.SPECIALISATION not in bounds_of(cons)
 
     def test_strictness_policy_instance(self):
-        # |E+|=10, fp=4: prune generalisations of size >= 7, i.e. > 6
-        assert generalisation_fp_threshold(10, 4) == 6
+        # |E+|=10, fp=4: prune generalisations of size >= 7, i.e. > 6; the
+        # other two terms, fn + size = 7 and 10 - 11 + 10 + 2 = 11, are looser
+        c = cov(tp=5, fn=5, fp=4, tn=1)
+        assert bounds_of(derive(H, c, 10, 10, BIG))[Kind.GENERALISATION] == 6
 
     def test_strictness_policy_all_fp(self):
-        assert generalisation_fp_threshold(10, 10) == 0
+        # |E+| - fp = 0, clamped to 1: every proper generalisation is pruned
+        c = cov(tp=5, fn=5, fp=10, tn=0)
+        assert bounds_of(derive(H, c, 10, 10, BIG))[Kind.GENERALISATION] == 1
 
     def test_monotonicity_in_tp_and_fp(self):
         rng = random.Random(51)
@@ -75,9 +77,8 @@ class TestDerive:
             fp = rng.randint(0, nneg)
             c1 = cov(tp1, npos - tp1, fp, nneg - fp)
             c2 = cov(tp2, npos - tp2, fp, nneg - fp)
-            b = SearchBounds(npos, npos)
-            d1 = bounds_of(derive(H, c1, b, BIG))
-            d2 = bounds_of(derive(H, c2, b, BIG))
+            d1 = bounds_of(derive(H, c1, npos, npos, BIG))
+            d2 = bounds_of(derive(H, c2, npos, npos, BIG))
             # specialisation bound is non-decreasing in tp
             assert d1[Kind.SPECIALISATION] <= d2[Kind.SPECIALISATION]
             fp1 = rng.randint(0, nneg)
@@ -85,8 +86,8 @@ class TestDerive:
             tp = rng.randint(0, npos)
             c3 = cov(tp, npos - tp, fp1, nneg - fp1)
             c4 = cov(tp, npos - tp, fp2, nneg - fp2)
-            d3 = bounds_of(derive(H, c3, b, BIG))
-            d4 = bounds_of(derive(H, c4, b, BIG))
+            d3 = bounds_of(derive(H, c3, npos, npos, BIG))
+            d4 = bounds_of(derive(H, c4, npos, npos, BIG))
             # the fp-family generalisation bound is non-increasing in fp
             assert d4[Kind.GENERALISATION] <= d3[Kind.GENERALISATION]
 
@@ -98,7 +99,7 @@ class TestDerive:
             fp = rng.randint(0, nneg)
             c = cov(tp, npos - tp, fp, nneg - fp)
             best = rng.randint(1, npos)
-            for con in derive(H, c, SearchBounds(best, npos), rng.randint(3, 30)):
+            for con in derive(H, c, best, npos, rng.randint(3, 30)):
                 assert con.bound >= 1
 
 
@@ -121,10 +122,10 @@ class TestStore:
         store = ConstraintStore()
         store.add(NoisyConstraint(Kind.SPECIALISATION, H, 5))
         store.add(NoisyConstraint(Kind.GENERALISATION, H, 4))
-        lines = store.dump().splitlines()
-        assert lines[0].startswith("spec 5 ")
-        assert lines[1].startswith("gen 4 ")
-        assert "f(A):- head(A,1)." in lines[0]
+        store.add(NoisyConstraint(Kind.SPECIALISATION, H, 3))
+        # one line per (kind, anchor), at its current bound
+        assert store.dump().splitlines() == ["spec 3 f(A):- head(A,1).",
+                                             "gen 4 f(A):- head(A,1)."]
 
     def test_program_at_bound_never_pruned(self):
         store = ConstraintStore()

@@ -483,3 +483,43 @@ class TestViolates:
                 assert store.violates(h, prog_size(h)) == want, (h, kinds, anchors, bounds)
                 cases += 1
         assert cases >= 1000
+
+    def test_agreement_when_adds_and_queries_interleave(self):
+        # the search queries between adds, so each query extends the
+        # relation caches of its rules only over the anchors added so far
+        rng = random.Random(48)
+        rules = [r for size in (2, 3, 4) for r in enumerate_rules(SMALL_BIAS, size)]
+
+        def random_program():
+            return frozenset(rng.sample(rules, rng.randint(1, 2)))
+
+        queries = pruned = 0
+        for _ in range(75):
+            store, live = ConstraintStore(), {}
+            for _ in range(rng.randint(2, 6)):
+                if live and rng.random() < 0.3:
+                    # re-add a stored (kind, anchor) with a tighter bound
+                    key = rng.choice(list(live))
+                    bound = max(1, live[key] - rng.randint(1, 3))
+                else:
+                    key = (rng.choice(list(Kind)), random_program())
+                    bound = rng.randint(1, 6)
+                added = store.add(NoisyConstraint(*key, bound))
+                assert added == (bound < live.get(key, bound + 1))
+                live[key] = min(bound, live.get(key, bound))
+                for _ in range(25):
+                    h = random_program()
+                    size = prog_size(h)
+                    want = any(
+                        size > k and (program_subsumes(anchor, h)
+                                      if kind is Kind.SPECIALISATION
+                                      else program_subsumes(h, anchor))
+                        for (kind, anchor), k in live.items())
+                    if len(h) == 1:
+                        got = store.singleton_pruned(next(iter(h)))
+                    else:
+                        got = store.violates(h, size)
+                    assert got == want, (h, live)
+                    queries += 1
+                    pruned += got
+        assert queries >= 5000 and 1000 <= pruned <= queries - 1000

@@ -147,6 +147,12 @@ class TestLearnBasics:
         assert runs[0]["completed"] and len(runs[0]["tested"]) > 50
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    def test_config_rejects_a_timeout_that_is_not_positive(self, timeout):
+        # a NaN deadline is never passed, so the search would never time out
+        with pytest.raises(ValueError, match="timeout"):
+            SearchConfig(timeout=timeout)
+
     def test_validation_rejects_mismatched_examples(self):
         bk = BackgroundKnowledge(builtins={})
         bias = Bias(targets=[("f", 1)], body_preds=[("p", 1)])

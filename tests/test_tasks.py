@@ -164,6 +164,16 @@ class TestEvaluateReport:
         assert report.test_accuracy == task.test.num_neg / total
         assert abs(report.test_accuracy - 0.5) <= 0.1
 
+    def test_no_test_split_has_no_accuracy(self, tmp_path):
+        # a task loaded from train files alone has an empty test split
+        task = generate_task("evens", 16, seed=3)
+        write_task_dir(task, tmp_path)
+        loaded = load_task(tmp_path / "bk.pl", tmp_path / "bias.pl",
+                           tmp_path / "train_pos.pl", tmp_path / "train_neg.pl")
+        report = evaluate(task.ground_truth, loaded)
+        assert report.test_accuracy is None
+        assert json.loads(report.to_json())["test_accuracy"] is None
+
     def test_report_json_fields(self):
         task = generate_task("zendo1", 16, seed=4)
         config = SearchConfig(timeout=20)
