@@ -95,7 +95,7 @@ def main(argv=None) -> int:
     p.add_argument("--bias", required=True, help="bias file")
     p.add_argument("--pos", required=True, help="positive examples file")
     p.add_argument("--neg", required=True, help="negative examples file")
-    p.add_argument("--timeout", type=float, default=600.0)
+    p.add_argument("--timeout", type=float, default=SearchConfig.timeout)
     p.add_argument("--noise", type=float, default=0.0,
                    help="flip this proportion of training labels")
     p.add_argument("--seed", type=int, default=0,
@@ -107,9 +107,9 @@ def main(argv=None) -> int:
                         "each new best program, and the calls and time of "
                         "each stage")
     p.add_argument("--report", help="write a JSON run report here")
-    p.add_argument("--max-depth", type=int, default=30,
+    p.add_argument("--max-depth", type=int, default=EvalBudget.max_depth,
                    help="resolution depth bound per example")
-    p.add_argument("--max-steps", type=int, default=1_000_000,
+    p.add_argument("--max-steps", type=int, default=EvalBudget.max_steps,
                    help="inference step budget per example")
     p.set_defaults(fn=_cmd_learn)
 

@@ -12,26 +12,28 @@ The decision procedure is top-down SLD-style resolution with:
 * an iterative-deepening depth bound and a per-example inference-step budget
   (exhaustion counts as non-coverage and is tallied, never raised to the
   caller),
-* built-in list/arithmetic predicates registered by name and arity.  A
-  built-in invoked with insufficiently instantiated arguments is deferred
-  until other goals have bound more variables; if no goal can run, the
-  branch fails,
+* the list and arithmetic built-ins of ``BUILTINS``, each run in the first
+  of its modes whose inputs are bound.  A built-in with no such mode is
+  deferred until other goals have bound more variables; if no goal can
+  run, the branch fails,
 * a wall-clock deadline (none by default), read before each example is
   proven and every 4,096 steps of a proof by the same countdown that
   enforces the step budget, so a passed deadline stops a test however
   short its proofs are; passing it raises ``SearchTimeout`` and caches no
   partial coverage.
 
-``BUILTIN_MODES`` states, for each default built-in, the input modes in
-which it runs: a ``+`` position must be bound, a ``-`` position may be
-free, and the function returns ``None`` (defers) exactly when no mode has
-all its ``+`` positions bound.  ``BackgroundKnowledge.modes`` gives these
-modes for the built-ins it actually runs.  ``mode_closure`` runs a rule's
-body under these modes, starting with the head variables bound: it gives
-the variables that can ever be bound and the literals that can never run.
-The generator reads it to drop recursive rules that would call themselves
-with an unbound argument, and ``Evaluator`` to skip proofs that cannot
-succeed.
+``BUILTINS`` declares each built-in once, by its modes: a ``+`` position
+must be bound and a ``-`` position may be free, and each mode has a
+function that gives the solutions once its ``+`` positions are bound.
+``_solve`` runs a built-in exactly when one of its modes has them bound.
+``BackgroundKnowledge.modes`` gives the modes of the built-ins that the
+background does not shadow.  ``mode_closure`` runs a rule's body under
+these modes, starting with the head variables bound: it gives the
+variables that can ever be bound and the literals that can never run.  The
+generator reads it to drop recursive rules that would call themselves with
+an unbound argument, and ``Evaluator`` to skip proofs that cannot succeed.
+So the generator and the tester read the same fact about when a literal
+can run.
 
 One loop, ``_cover``, proves examples.  Each rule's coverage is computed
 alone and cached, and a program's coverage starts as the union of its rules'
@@ -57,6 +59,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from .logic import Hypothesis, Literal, Rule, Var, head_preds, is_recursive, prog_size
 
@@ -68,8 +71,7 @@ __all__ = [
     "BackgroundKnowledge",
     "Evaluator",
     "mdl_cost",
-    "DEFAULT_BUILTINS",
-    "BUILTIN_MODES",
+    "BUILTINS",
     "mode_closure",
     "SearchTimeout",
     "check_deadline",
@@ -167,9 +169,6 @@ def mdl_cost(h: Hypothesis, cov: Coverage) -> int:
 # ---------------------------------------------------------------------------
 # Built-ins
 # ---------------------------------------------------------------------------
-# A built-in takes the walked argument tuple and returns None when the
-# arguments are insufficiently instantiated (the goal is deferred), or a list
-# of ground solution tuples to unify against the call (empty list = failure).
 
 
 class _FVar:
@@ -182,129 +181,39 @@ class _FVar:
         return f"_{id(self) & 0xFFFF:x}"
 
 
-def _bi_head(args):
-    l, _x = args
-    if isinstance(l, _FVar):
-        return None
-    if isinstance(l, tuple) and l:
-        return [(l, l[0])]
-    return []
-
-
-def _bi_tail(args):
-    l, _x = args
-    if isinstance(l, _FVar):
-        return None
-    if isinstance(l, tuple) and l:
-        return [(l, l[1:])]
-    return []
-
-
-def _bi_empty(args):
-    (l,) = args
-    if isinstance(l, _FVar):
-        return [((),)]
-    return [((),)] if l == () else []
-
-
-def _bi_even(args):
-    (x,) = args
-    if isinstance(x, _FVar):
-        return None
-    return [(x,)] if isinstance(x, int) and x % 2 == 0 else []
-
-
-def _bi_odd(args):
-    (x,) = args
-    if isinstance(x, _FVar):
-        return None
-    return [(x,)] if isinstance(x, int) and x % 2 == 1 else []
-
-
-def _bi_one(args):
-    (x,) = args
-    if isinstance(x, _FVar):
-        return [(1,)]
-    return [(1,)] if x == 1 else []
-
-
-def _bi_zero(args):
-    (x,) = args
-    if isinstance(x, _FVar):
-        return [(0,)]
-    return [(0,)] if x == 0 else []
-
-
-def _bi_decrement(args):
-    a, b = args
-    if isinstance(a, int):
-        return [(a, a - 1)]
-    if isinstance(b, int):
-        return [(b + 1, b)]
-    return None
-
-
-def _bi_succ(args):
-    a, b = args
-    if isinstance(a, int):
-        return [(a, a + 1)]
-    if isinstance(b, int):
-        return [(b - 1, b)]
-    return None
-
-
-def _bi_geq(args):
-    a, b = args
-    if isinstance(a, _FVar) or isinstance(b, _FVar):
-        return None
-    if isinstance(a, int) and isinstance(b, int):
-        return [(a, b)] if a >= b else []
-    return []
-
-
-def _bi_append(args):
-    # append(Front, Elem, Out): Out is Front with Elem appended.
-    front, elem, out = args
-    if isinstance(front, tuple) and not isinstance(elem, _FVar):
-        return [(front, elem, front + (elem,))]
-    if isinstance(out, tuple):
-        if not out:
-            return []
-        return [(out[:-1], out[-1], out)]
-    return None
-
-
-DEFAULT_BUILTINS = {
-    ("head", 2): _bi_head,
-    ("tail", 2): _bi_tail,
-    ("empty", 1): _bi_empty,
-    ("empty_out", 1): _bi_empty,
-    ("even", 1): _bi_even,
-    ("odd", 1): _bi_odd,
-    ("one", 1): _bi_one,
-    ("zero", 1): _bi_zero,
-    ("decrement", 2): _bi_decrement,
-    ("succ", 2): _bi_succ,
-    ("geq", 2): _bi_geq,
-    ("append", 3): _bi_append,
+# Each built-in's modes, in the order they are tried.  In a mode a "+"
+# position must be bound and a "-" position may be free.  A mode's function
+# runs once its "+" positions are bound: it takes the walked arguments and
+# returns the ground solution tuples to unify against the call (an empty
+# list is failure).
+BUILTINS = {
+    ("head", 2): {"+-": lambda l, x: [(l, l[0])] if isinstance(l, tuple) and l else []},
+    ("tail", 2): {"+-": lambda l, x: [(l, l[1:])] if isinstance(l, tuple) and l else []},
+    ("empty", 1): {"-": lambda l: [((),)]},
+    ("empty_out", 1): {"-": lambda l: [((),)]},
+    ("even", 1): {"+": lambda x: [(x,)] if isinstance(x, int) and x % 2 == 0 else []},
+    ("odd", 1): {"+": lambda x: [(x,)] if isinstance(x, int) and x % 2 == 1 else []},
+    ("one", 1): {"-": lambda x: [(1,)]},
+    ("zero", 1): {"-": lambda x: [(0,)]},
+    ("decrement", 2): {"+-": lambda a, b: [(a, a - 1)] if isinstance(a, int) else [],
+                       "-+": lambda a, b: [(b + 1, b)] if isinstance(b, int) else []},
+    ("succ", 2): {"+-": lambda a, b: [(a, a + 1)] if isinstance(a, int) else [],
+                  "-+": lambda a, b: [(b - 1, b)] if isinstance(b, int) else []},
+    ("geq", 2): {"++": lambda a, b: [(a, b)] if isinstance(a, int) and isinstance(b, int)
+                 and a >= b else []},
+    # append(Front, Elem, Out): Out is Front with Elem appended
+    ("append", 3): {"++-": lambda f, e, o: [(f, e, f + (e,))] if isinstance(f, tuple) else [],
+                    "--+": lambda f, e, o: [(o[:-1], o[-1], o)] if isinstance(o, tuple) and o
+                    else []},
 }
 
-# The modes in which each default built-in runs, read off where its function
-# returns None: "+" must be bound, "-" may be free.
-BUILTIN_MODES = {
-    ("head", 2): ("+-",),
-    ("tail", 2): ("+-",),
-    ("empty", 1): ("-",),
-    ("empty_out", 1): ("-",),
-    ("even", 1): ("+",),
-    ("odd", 1): ("+",),
-    ("one", 1): ("-",),
-    ("zero", 1): ("-",),
-    ("decrement", 2): ("+-", "-+"),
-    ("succ", 2): ("+-", "-+"),
-    ("geq", 2): ("++",),
-    ("append", 3): ("++-", "--+"),
-}
+# For each built-in and each pattern of bound arguments, the function of the
+# first mode whose "+" positions are bound, or None when there is none: so
+# ``_solve`` picks a built-in's mode with one lookup.
+_RUN = {key: {bound: next((fn for mode, fn in modes.items()
+                           if all(b or m == "-" for m, b in zip(mode, bound))), None)
+              for bound in product((False, True), repeat=key[1])}
+        for key, modes in BUILTINS.items()}
 
 
 def _runs(lit: Literal, bound, modes) -> bool:
@@ -320,8 +229,8 @@ def _runs(lit: Literal, bound, modes) -> bool:
 def mode_closure(head: Literal, body, modes):
     """Runs the literals of ``body`` in any order the modes allow, starting
     with the variables of ``head`` bound.  ``modes`` maps a predicate key to
-    its modes, as in ``BUILTIN_MODES``: such a literal runs once the "+"
-    positions of one of its modes are bound.  Any other literal (a fact, a
+    its modes, as ``BackgroundKnowledge.modes`` does: such a literal runs
+    once the "+" positions of one of its modes are bound.  Any other literal (a fact, a
     background rule, a target) runs at once, and a literal that runs binds
     all of its variables.  Returns the variables bound at the fixpoint and
     the literals that never run.
@@ -346,15 +255,14 @@ def mode_closure(head: Literal, body, modes):
 # ---------------------------------------------------------------------------
 
 class BackgroundKnowledge:
-    """Ground facts, definite rules, and registered built-ins.
+    """Ground facts and definite rules, over the built-ins of ``BUILTINS``.
 
     A predicate defined by facts or rules shadows a built-in of the same
     name and arity."""
 
-    def __init__(self, facts=(), rules=(), builtins=None):
+    def __init__(self, facts=(), rules=()):
         self.facts = list(facts)
         self.rules = list(rules)
-        self.builtins = dict(DEFAULT_BUILTINS if builtins is None else builtins)
         self._facts_by_pred: dict = {}
         self._facts_by_first: dict = {}
         self._rules_by_pred: dict = {}
@@ -368,7 +276,7 @@ class BackgroundKnowledge:
             self._rules_by_pred.setdefault(key, []).append(r)
 
     @classmethod
-    def from_source(cls, text: str, builtins=None) -> "BackgroundKnowledge":
+    def from_source(cls, text: str) -> "BackgroundKnowledge":
         from .parsing import parse_clauses
 
         facts, rules = [], []
@@ -379,20 +287,19 @@ class BackgroundKnowledge:
                 rules.append(Rule(head, frozenset()))
             else:
                 facts.append(head)
-        return cls(facts, rules, builtins)
+        return cls(facts, rules)
 
     def defines(self, key) -> bool:
         return key in self._facts_by_pred or key in self._rules_by_pred
 
     def known_predicates(self) -> set:
-        return set(self._facts_by_pred) | set(self._rules_by_pred) | set(self.builtins)
+        return set(self._facts_by_pred) | set(self._rules_by_pred) | set(BUILTINS)
 
     def modes(self) -> dict:
-        """``BUILTIN_MODES`` of the default built-ins that run here: not
-        shadowed by facts or rules, nor replaced by another function.  Any
-        other predicate binds all of its arguments."""
-        return {key: BUILTIN_MODES[key] for key, fn in self.builtins.items()
-                if DEFAULT_BUILTINS.get(key) is fn and not self.defines(key)}
+        """The modes of every built-in that the background does not define.
+        Any other predicate binds all of its arguments."""
+        return {key: tuple(modes) for key, modes in BUILTINS.items()
+                if not self.defines(key)}
 
 
 class _Budget(Exception):
@@ -433,7 +340,6 @@ class Evaluator:
         self._facts_by_pred = bk._facts_by_pred
         self._facts_by_first = bk._facts_by_first
         self._user_keys = set(bk._facts_by_pred) | set(bk._rules_by_pred)
-        self._builtins = bk.builtins
         self._modes = bk.modes()
         # predicates that the background defines, runs or calls
         self._bk_keys = self._known | {
@@ -554,7 +460,7 @@ class Evaluator:
                 key = (lit.pred, len(lit.args))
                 vs = [a for a in lit.args if isinstance(a, Var)]
                 shared = sum(1 for v in vs if v in bound)
-                is_builtin = key in self.bk.builtins and not self.bk.defines(key)
+                is_builtin = key in self._modes
                 is_rec = key == head_pred
                 return (-shared, is_rec, not is_builtin)
 
@@ -596,9 +502,8 @@ class Evaluator:
         if steps[0] <= 0:
             self._check(steps)
         user_keys = self._user_keys
-        builtins = self._builtins
         # select the first ready goal: user predicates are always ready, a
-        # built-in is ready when its probe returns solutions
+        # built-in once the "+" positions of one of its modes are bound
         chosen = -1
         sols = None
         walked = None
@@ -606,11 +511,12 @@ class Evaluator:
             if key in user_keys or key in prog:
                 chosen = i
                 break
-            fn = builtins.get(key)
-            if fn is None:
+            run = _RUN.get(key)
+            if run is None:
                 chosen = i  # unknown predicate: fails below
                 break
             w = []
+            bound = []
             for a in args:
                 while type(a) is _FVar:
                     r = a.ref
@@ -618,11 +524,11 @@ class Evaluator:
                         break
                     a = r
                 w.append(a)
-            w = tuple(w)
-            s = fn(w)
-            if s is None:
-                continue  # insufficiently instantiated, defer
-            chosen, sols, walked = i, s, w
+                bound.append(type(a) is not _FVar)
+            fn = run[tuple(bound)]
+            if fn is None:
+                continue  # no mode has its "+" positions bound: defer
+            chosen, sols, walked = i, fn(*w), w
             break
         if chosen < 0:
             return False  # only deferred built-ins remain

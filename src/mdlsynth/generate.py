@@ -26,7 +26,7 @@ candidate in its place in the order.
 A rule is usable unless it calls a target with an unbound argument.  The
 bound variables are those of ``evaluate.mode_closure`` over the body
 literals that call no target: it starts from the head's variables, a
-built-in with input modes (see ``evaluate.BUILTIN_MODES``) runs once the
+built-in with input modes (see ``evaluate.BUILTINS``) runs once the
 ``+`` positions of one of its modes are bound, and any other predicate
 always runs.  A rule with a target literal is usable only when every
 variable of every target literal is bound; any other rule is usable.  So
@@ -66,6 +66,19 @@ class BiasError(ValueError):
     pass
 
 
+# each bias directive: how it is written, and the type of each argument
+_DIRECTIVES = {
+    "head_pred": ("head_pred(Name,Arity) with an integer Arity", (str, int)),
+    "body_pred": ("body_pred(Name,Arity) with an integer Arity", (str, int)),
+    "type": ("type(Name,(Type,...))", (str, (str, tuple))),
+    "constant": ("constant(Type,Value)", (str, object)),
+    "max_vars": ("max_vars(N) with an integer N", (int,)),
+    "max_body": ("max_body(N) with an integer N", (int,)),
+    "max_rules": ("max_rules(N) with an integer N", (int,)),
+    "enable_recursion": ("enable_recursion with no arguments", ()),
+}
+
+
 @dataclass
 class Bias:
     targets: list
@@ -100,10 +113,16 @@ class Bias:
         constants: dict = {}
         arg_types: dict = {}
         for name, args in directives:
+            if name not in _DIRECTIVES:
+                raise BiasError(f"unknown bias directive {name!r}")
+            usage, kinds = _DIRECTIVES[name]
+            if len(args) != len(kinds) or not all(map(isinstance, args, kinds)):
+                raise BiasError(
+                    f"bad bias directive {Literal(name, args)!r}: expected {usage}")
             if name == "head_pred":
-                targets.append((args[0], int(args[1])))
+                targets.append(args)
             elif name == "body_pred":
-                body_preds.append((args[0], int(args[1])))
+                body_preds.append(args)
             elif name == "type":
                 pred, types = args
                 if isinstance(types, str):
@@ -112,11 +131,9 @@ class Bias:
             elif name == "constant":
                 constants.setdefault(args[0], []).append(args[1])
             elif name in ("max_vars", "max_body", "max_rules"):
-                kwargs[name] = int(args[0])
-            elif name == "enable_recursion":
-                kwargs["allow_recursion"] = True
+                kwargs[name] = args[0]
             else:
-                raise BiasError(f"unknown bias directive {name!r}")
+                kwargs["allow_recursion"] = True
         return cls(targets, body_preds, constants=constants,
                    arg_types=arg_types, **kwargs)
 
@@ -452,8 +469,9 @@ def usable(rule: Rule, targets, modes) -> bool:
     """True iff every variable of every target literal in the body of
     ``rule`` is bound by the ``evaluate.mode_closure`` of the other body
     literals (see the module docstring).  ``modes`` maps a predicate key to
-    its modes, as in ``evaluate.BUILTIN_MODES``; a predicate without modes
-    binds all of its arguments."""
+    its modes, as ``BackgroundKnowledge.modes`` reads them off
+    ``evaluate.BUILTINS``; a predicate without modes binds all of its
+    arguments."""
     calls = [b for b in rule.body if (b.pred, len(b.args)) in targets]
     if not calls:
         return True

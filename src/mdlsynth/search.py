@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from .combine import PromisingPool, decode, solve
 from .constrain import ConstraintStore, derive
 from .evaluate import (
+    BUILTINS,
     BackgroundKnowledge,
     Coverage,
     EvalBudget,
@@ -250,7 +251,7 @@ def _validate(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias) -> None
     # background rule calls one.  So a program in which every rule calls a
     # target proves no target atom, which the generator relies on to skip it.
     for key in sorted(targets):
-        if bk.defines(key) or key in bk.builtins:
+        if bk.defines(key) or key in BUILTINS:
             raise ValueError(f"background defines target {key[0]}/{key[1]}")
     for rule in bk.rules:
         for lit in rule.body:

@@ -211,7 +211,7 @@ _BIAS = {
 }
 
 FAMILIES = ("evens", "dropk", "reverse", "sorted", "zendo1", "zendo2")
-_ALIASES = {"zendo-like": "zendo1", "zendo": "zendo1"}
+_ALIASES = {"zendo-like": "zendo1"}
 
 
 def _random_list(rng, max_len=5, even_bias=False):
@@ -345,16 +345,15 @@ def _sample_zendo_examples(family, gt, rng, n, fact_sink, start=0):
     return pos, neg, i
 
 
-def generate_task(family: str, n_examples: int, seed: int,
-                  n_test: int | None = None) -> Task:
+def generate_task(family: str, n_examples: int, seed: int) -> Task:
     """A noiseless Task with train/test splits labelled by the family's
-    target program; the target achieves fn = fp = 0 on both splits."""
+    target program; the target achieves fn = fp = 0 on both splits.  The
+    test split is drawn with ``n_examples`` examples, as the train split."""
     family = _ALIASES.get(family, family)
     if family not in FAMILIES:
         raise ValueError(f"unknown task family {family!r}")
     if n_examples < 4:
         raise ValueError("n_examples must be at least 4")
-    n_test = n_test if n_test is not None else n_examples
     gt = frozenset(parse_rules(_GT[family]))
     bias = Bias.from_source(_BIAS[family])
     rng_train = random.Random(f"{family}:{seed}:train")
@@ -365,15 +364,15 @@ def generate_task(family: str, n_examples: int, seed: int,
         pos, neg, nxt = _sample_zendo_examples(family, gt, rng_train,
                                                n_examples, facts)
         tpos, tneg, _ = _sample_zendo_examples(family, gt, rng_test,
-                                               n_test, facts, start=nxt)
+                                               n_examples, facts, start=nxt)
         bk = BackgroundKnowledge(facts=facts)
         bk_source = "\n".join(f"{f!r}." for f in facts) + "\n"
     else:
         pos, neg, seen = _sample_list_examples(family, gt, rng_train, n_examples)
         tpos_all, tneg_all, _ = _sample_list_examples(
-            family, gt, rng_test, n_test + len(seen))
-        tpos = [a for a in tpos_all if a not in seen][: n_test - n_test // 2]
-        tneg = [a for a in tneg_all if a not in seen][: n_test // 2]
+            family, gt, rng_test, n_examples + len(seen))
+        tpos = [a for a in tpos_all if a not in seen][: n_examples - n_examples // 2]
+        tneg = [a for a in tneg_all if a not in seen][: n_examples // 2]
         bk = BackgroundKnowledge()
         bk_source = "% built-in list predicates only\n"
 

@@ -77,7 +77,7 @@ def tiny_task(rng: random.Random, allow_recursion=None):
         (pos if rng.random() < 0.6 else neg).append(a)
     if not pos and not neg:
         pos = [atoms[0]]
-    bk = BackgroundKnowledge(facts=facts, builtins={})
+    bk = BackgroundKnowledge(facts=facts)
     return bk, ExampleSet(tuple(pos), tuple(neg)), bias, CONSTS
 
 
@@ -110,5 +110,5 @@ def richer_tiny_task(rng: random.Random, allow_recursion=None, n_examples=10):
     if not pos:
         pos = [atoms[-1]]
         neg = [a for a in neg if a != atoms[-1]]
-    bk = BackgroundKnowledge(facts=facts, builtins={})
+    bk = BackgroundKnowledge(facts=facts)
     return bk, ExampleSet(tuple(pos), tuple(neg)), bias, consts

@@ -8,8 +8,7 @@ import pytest
 from mdlsynth import evaluate
 from mdlsynth.constrain import ConstraintStore
 from mdlsynth.evaluate import (
-    BUILTIN_MODES,
-    DEFAULT_BUILTINS,
+    BUILTINS,
     BackgroundKnowledge,
     Coverage,
     EngineError,
@@ -17,12 +16,11 @@ from mdlsynth.evaluate import (
     Evaluator,
     ExampleSet,
     SearchTimeout,
-    _FVar,
     mdl_cost,
     mode_closure,
 )
 from mdlsynth.generate import GeneratorState, usable
-from mdlsynth.logic import Literal, Var, is_recursive, program_subsumes, prog_size
+from mdlsynth.logic import Literal, Rule, Var, is_recursive, program_subsumes, prog_size
 from mdlsynth.parsing import parse_ground_atom, parse_rules
 
 from mdlsynth.tasks import _GT, generate_task
@@ -483,7 +481,7 @@ class TestDeadline:
         # a three-hop join over 20 x 20 facts takes 8,000 steps an example
         consts = range(20)
         facts = [Literal("q", (a, b)) for a in consts for b in consts]
-        bk = BackgroundKnowledge(facts + [Literal("p", ("x",))], builtins={})
+        bk = BackgroundKnowledge(facts + [Literal("p", ("x",))])
         ex = ExampleSet((atom("f(0)"), atom("f(1)")), (atom("f(2)"),))
         return bk, ex, prog("f(A):- q(A,B),q(B,C),q(C,D),p(D).")
 
@@ -536,30 +534,41 @@ class TestModes:
     }
 
     def test_modes_agree_with_functions(self):
-        assert set(BUILTIN_MODES) == set(DEFAULT_BUILTINS) == set(self.SAMPLES)
-        for key, modes in BUILTIN_MODES.items():
-            fn, sample = DEFAULT_BUILTINS[key], self.SAMPLES[key]
+        # f(<bound positions of the sample>):- key(<sample, free elsewhere>)
+        # proves its example exactly when a mode has its "+" positions bound
+        assert set(BUILTINS) == set(self.SAMPLES)
+        ev = Evaluator(BackgroundKnowledge(), ExampleSet((), ()))
+        for key, modes in BUILTINS.items():
+            sample = self.SAMPLES[key]
             assert all(len(m) == key[1] and set(m) <= {"+", "-"} for m in modes)
             for n in range(key[1] + 1):
                 for bound in combinations(range(key[1]), n):
-                    args = tuple(v if i in bound else _FVar()
-                                 for i, v in enumerate(sample))
+                    head = Literal("f", tuple(Var(i) for i in bound))
+                    body = Literal(key[0], tuple(Var(i) for i in range(key[1])))
+                    example = Literal("f", tuple(sample[i] for i in bound))
                     runs = any(all(i in bound for i, m in enumerate(mode) if m == "+")
                                for mode in modes)
-                    got = fn(args)
-                    assert (got is not None) == runs, (key, bound, got)
+                    h = frozenset((Rule(head, frozenset((body,))),))
+                    assert ev.covers(h, example) == runs, (key, bound)
+
+    @pytest.mark.parametrize("call", ["head(5,B)", "decrement([1],B)", "append(3,1,B)"])
+    def test_ill_typed_bound_call_fails_at_once(self, call):
+        # the call runs in the mode its bound inputs meet, and fails; were it
+        # deferred, each of the 100 q facts would be tried first, and the
+        # 50-step budget would run out
+        bk = BackgroundKnowledge([Literal("q", (i,)) for i in range(100)])
+        ev = Evaluator(bk, ExampleSet((), ()), EvalBudget(max_steps=50))
+        assert not ev.covers(prog(f"f(A):- {call},q(C)."), atom("f(a)"))
+        assert ev.budget_exhausted == 0
 
     def test_modes_only_for_default_builtins_that_run(self):
-        assert BackgroundKnowledge().modes() == BUILTIN_MODES
+        assert BackgroundKnowledge().modes() == {
+            key: tuple(modes) for key, modes in BUILTINS.items()}
         shadowed = BackgroundKnowledge(facts=[Literal("tail", ((1,), ()))])
         assert ("tail", 2) not in shadowed.modes()
         assert ("head", 2) in shadowed.modes()
         ruled = BackgroundKnowledge.from_source("head(A,B):- tail(A,B).")
         assert ("head", 2) not in ruled.modes()
-        custom = BackgroundKnowledge(
-            builtins={**DEFAULT_BUILTINS, ("tail", 2): lambda args: []})
-        assert ("tail", 2) not in custom.modes()
-        assert BackgroundKnowledge(builtins={}).modes() == {}
 
 
 class TestBuiltins:

@@ -226,17 +226,17 @@ class TestUsable:
         assert rule in gen.pool(4)
         assert rule not in gen.usable_pool(4)
 
-    @pytest.mark.parametrize("bk", [
-        BackgroundKnowledge(facts=[Literal("tail", ((1, 2), (2,)))]),
-        BackgroundKnowledge(builtins={}),
+    @pytest.mark.parametrize("modes", [
+        BackgroundKnowledge(facts=[Literal("tail", ((1, 2), (2,)))]).modes(),
+        {},
     ], ids=["tail_facts", "no_builtins"])
-    def test_modeless_tail_rejects_only_free_call_variables(self, bk):
+    def test_modeless_tail_rejects_only_free_call_variables(self, modes):
         # with no modes for tail, a rule is rejected exactly when a target
         # literal has a variable that only target literals mention
         bias = Bias(targets=[("f", 2)], body_preds=[("tail", 2)], max_vars=4,
                     max_body=3, max_rules=1, allow_recursion=True)
         targets = set(bias.targets)
-        gen = GeneratorState(bias, ConstraintStore(), modes=bk.modes())
+        gen = GeneratorState(bias, ConstraintStore(), modes=modes)
         rejected = 0
         for size in (2, 3, 4):
             for rule in gen.pool(size):
@@ -245,7 +245,7 @@ class TestUsable:
                 mentioned = {a for lit in others for a in lit.args}
                 free = any(a not in mentioned for b in calls for a in b.args)
                 assert (rule in gen.usable_pool(size)) == (not free), rule
-                assert naive_usable(rule, targets, bk.modes()) == (not free)
+                assert naive_usable(rule, targets, modes) == (not free)
                 rejected += free
         assert rejected
         assert parse_rules("f(A,B):- tail(C,A),f(C,B).")[0] in gen.usable_pool(3)
@@ -286,6 +286,17 @@ class TestBiasValidation:
     def test_unknown_directive(self):
         with pytest.raises(BiasError):
             Bias.from_source("frobnicate(3).")
+
+    @pytest.mark.parametrize("directive", [
+        "head_pred(f).", "body_pred(p).", "max_vars.", "constant(x).",
+        "type(p).", "head_pred(f,1,2).", "max_body(two).",
+        "enable_recursion(yes).",
+    ])
+    def test_bad_directive_is_named(self, directive):
+        # a wrong argument count or a name where an integer goes
+        name = directive.split("(")[0].rstrip(".")
+        with pytest.raises(BiasError, match=f"bad bias directive {name}"):
+            Bias.from_source("head_pred(f,1). body_pred(p,1). " + directive)
 
     def test_round_trip(self):
         b = Bias.from_source(SMALL_BIAS.to_source())

@@ -35,7 +35,7 @@ class TestLearnBasics:
         # two positives that no single bias rule can cover: any rule costs
         # at least its size and covers nothing, so the empty hypothesis
         # (cost 2) wins
-        bk = BackgroundKnowledge(facts=[Literal("p", ("a",))], builtins={})
+        bk = BackgroundKnowledge(facts=[Literal("p", ("a",))])
         bias = Bias(targets=[("f", 1)], body_preds=[("p", 1)],
                     max_vars=2, max_body=2, max_rules=1)
         ex = ExampleSet((atom("f(b)"), atom("f(c)")), ())
@@ -46,7 +46,7 @@ class TestLearnBasics:
 
     def test_single_rule_solution(self):
         bk = BackgroundKnowledge(
-            facts=[Literal("p", (c,)) for c in "abd"], builtins={})
+            facts=[Literal("p", (c,)) for c in "abd"])
         bias = Bias(targets=[("f", 1)], body_preds=[("p", 1)],
                     max_vars=2, max_body=2, max_rules=1)
         ex = ExampleSet((atom("f(a)"), atom("f(b)"), atom("f(d)")),
@@ -59,7 +59,7 @@ class TestLearnBasics:
         # with two positives, a perfect size-2 rule only ties the empty
         # hypothesis (cost 2), and the first-found solution is kept
         bk = BackgroundKnowledge(
-            facts=[Literal("p", ("a",)), Literal("p", ("b",))], builtins={})
+            facts=[Literal("p", ("a",)), Literal("p", ("b",))])
         bias = Bias(targets=[("f", 1)], body_preds=[("p", 1)],
                     max_vars=2, max_body=2, max_rules=1)
         ex = ExampleSet((atom("f(a)"), atom("f(b)")), (atom("f(c)"),))
@@ -154,35 +154,38 @@ class TestLearnBasics:
             SearchConfig(timeout=timeout)
 
     def test_validation_rejects_mismatched_examples(self):
-        bk = BackgroundKnowledge(builtins={})
+        bk = BackgroundKnowledge()
         bias = Bias(targets=[("f", 1)], body_preds=[("p", 1)])
         ex = ExampleSet((atom("g(a)"),), ())
         with pytest.raises(ValueError):
             learn(bk, ex, bias)
 
     def test_validation_rejects_bk_calling_target(self):
-        bk = BackgroundKnowledge.from_source("p(A):- f(A).", builtins={})
+        bk = BackgroundKnowledge.from_source("p(A):- f(A).")
         bias = Bias(targets=[("f", 1)], body_preds=[("p", 1)])
         ex = ExampleSet((atom("f(a)"),), ())
         with pytest.raises(ValueError):
             learn(bk, ex, bias)
 
-    @pytest.mark.parametrize("source,builtins", [
-        ("f(0).", {}),
-        ("f(A):- p(A).", {}),
-        ("", {("f", 1): lambda args: [args]}),
+    @pytest.mark.parametrize("source,target", [
+        ("f(0).", "f(a)"),
+        ("f(A):- p(A).", "f(a)"),
+        ("", "succ(1,2)"),
     ])
-    def test_validation_rejects_bk_defining_target(self, source, builtins):
+    def test_validation_rejects_bk_defining_target(self, source, target):
         # with f(0) in the background, f(A):- succ(B,A),f(B). would prove
-        # every positive example though its only rule calls the target
-        bk = BackgroundKnowledge.from_source(source, builtins=builtins)
-        bias = Bias(targets=[("f", 1)], body_preds=[("p", 1)])
-        ex = ExampleSet((atom("f(a)"),), ())
-        with pytest.raises(ValueError, match="defines target f/1"):
+        # every positive example though its only rule calls the target; a
+        # target named as a built-in is defined by that built-in
+        bk = BackgroundKnowledge.from_source(source)
+        example = atom(target)
+        key = (example.pred, len(example.args))
+        bias = Bias(targets=[key], body_preds=[("p", 1)])
+        ex = ExampleSet((example,), ())
+        with pytest.raises(ValueError, match=f"defines target {key[0]}/{key[1]}"):
             learn(bk, ex, bias)
 
     def test_validation_accepts_bk_with_target_name_at_another_arity(self):
-        bk = BackgroundKnowledge.from_source("f(a,b).", builtins={})
+        bk = BackgroundKnowledge.from_source("f(a,b).")
         bias = Bias(targets=[("f", 1)], body_preds=[("f", 2)])
         ex = ExampleSet((atom("f(a)"),), ())
         learn(bk, ex, bias, SearchConfig(timeout=5))
@@ -206,7 +209,7 @@ class TestOracleEquality:
         # a recursive rule covers all ten reachable pairs and nothing else
         nodes = "abcde"
         facts = [Literal("edge", (x, y)) for x, y in zip(nodes, nodes[1:])]
-        bk = BackgroundKnowledge(facts=facts, builtins={})
+        bk = BackgroundKnowledge(facts=facts)
         ex = ExampleSet(
             tuple(Literal("path", (x, y)) for i, x in enumerate(nodes)
                   for y in nodes[i + 1:]),
@@ -235,7 +238,7 @@ class TestOracleEquality:
         consts = tuple(f"c{i}" for i in range(8))
         facts = [Literal("p", (c,)) for c in consts[:3]]
         facts += [Literal("r", (c,)) for c in consts[3:6]]
-        bk = BackgroundKnowledge(facts=facts, builtins={})
+        bk = BackgroundKnowledge(facts=facts)
         ex = ExampleSet(tuple(atom(f"f({c})") for c in pos.split()),
                         tuple(atom(f"f({c})") for c in neg.split()))
         bias = Bias(targets=[("f", 1)], body_preds=[("p", 1), ("r", 1)],
@@ -383,7 +386,7 @@ class TestProofShortcuts:
 
 class TestInvariantCheck:
     def test_initial_state_passes(self):
-        bk = BackgroundKnowledge(builtins={})
+        bk = BackgroundKnowledge()
         ex = ExampleSet((atom("f(a)"), atom("f(b)")), ())
         ev = Evaluator(bk, ex)
         state = SearchState(size=2, max_mdl=2, best=frozenset(),
@@ -392,7 +395,7 @@ class TestInvariantCheck:
 
     def test_post_update_relation_enforced(self):
         bk = BackgroundKnowledge(
-            facts=[Literal("p", ("a",)), Literal("p", ("b",))], builtins={})
+            facts=[Literal("p", ("a",)), Literal("p", ("b",))])
         ex = ExampleSet((atom("f(a)"), atom("f(b)")), ())
         ev = Evaluator(bk, ex)
         best = prog("f(A):- p(A).")
@@ -406,7 +409,7 @@ class TestInvariantCheck:
 
     def test_recorded_cost_must_match_retest(self):
         bk = BackgroundKnowledge(
-            facts=[Literal("p", ("a",)), Literal("p", ("b",))], builtins={})
+            facts=[Literal("p", ("a",)), Literal("p", ("b",))])
         ex = ExampleSet((atom("f(a)"), atom("f(b)")), ())
         ev = Evaluator(bk, ex)
         best = prog("f(A):- p(A).")
@@ -417,7 +420,7 @@ class TestInvariantCheck:
 
     def test_debug_mode_runs_check_in_loop(self):
         bk = BackgroundKnowledge(
-            facts=[Literal("p", ("a",)), Literal("p", ("b",))], builtins={})
+            facts=[Literal("p", ("a",)), Literal("p", ("b",))])
         bias = Bias(targets=[("f", 1)], body_preds=[("p", 1)],
                     max_vars=2, max_body=2, max_rules=1)
         ex = ExampleSet((atom("f(a)"), atom("f(b)")), ())
