@@ -24,8 +24,20 @@ The decision procedure is top-down SLD-style resolution with:
 
 ``BUILTINS`` declares each built-in once, by its modes: a ``+`` position
 must be bound and a ``-`` position may be free, and each mode has a
-function that gives the solutions once its ``+`` positions are bound.
-``_solve`` runs a built-in exactly when one of its modes has them bound.
+function that gives the one ground solution, or None, once its ``+``
+positions are bound; every built-in is a function of its inputs.
+``_solve`` runs a built-in exactly when one of its modes has them bound,
+and binds the solution's terms to the call's free arguments in place.
+
+How each call runs is fixed when a program is compiled (``_dispatch``).
+A predicate that the background or the hypothesis defines is resolved
+against facts and clauses, and shadows a built-in of the same name and
+arity.  A call to a built-in holds the built-in's row of ``_RUN``, which
+gives the mode to run for each bitmask of bound arguments.  Any other
+predicate resolves against nothing, so it fails.  The example goal is
+dispatched the same way.  The body goals of a resolvent share one
+environment of terms, which their compiled arguments index, so a goal's
+arguments are looked up only once it is selected.
 ``BackgroundKnowledge.modes`` gives the modes of the built-ins that the
 background does not shadow.  ``mode_closure`` runs a rule's body under
 these modes, starting with the head variables bound: it gives the
@@ -59,7 +71,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import product
 
 from .logic import Hypothesis, Literal, Rule, Var, head_preds, is_recursive, prog_size
 
@@ -184,35 +195,38 @@ class _FVar:
 # Each built-in's modes, in the order they are tried.  In a mode a "+"
 # position must be bound and a "-" position may be free.  A mode's function
 # runs once its "+" positions are bound: it takes the walked arguments and
-# returns the ground solution tuples to unify against the call (an empty
-# list is failure).
+# returns the one ground solution tuple to bind against the call, or None
+# for failure.  One tuple is all a mode can return, since every built-in
+# is a function of its inputs.
 BUILTINS = {
-    ("head", 2): {"+-": lambda l, x: [(l, l[0])] if isinstance(l, tuple) and l else []},
-    ("tail", 2): {"+-": lambda l, x: [(l, l[1:])] if isinstance(l, tuple) and l else []},
-    ("empty", 1): {"-": lambda l: [((),)]},
-    ("empty_out", 1): {"-": lambda l: [((),)]},
-    ("even", 1): {"+": lambda x: [(x,)] if isinstance(x, int) and x % 2 == 0 else []},
-    ("odd", 1): {"+": lambda x: [(x,)] if isinstance(x, int) and x % 2 == 1 else []},
-    ("one", 1): {"-": lambda x: [(1,)]},
-    ("zero", 1): {"-": lambda x: [(0,)]},
-    ("decrement", 2): {"+-": lambda a, b: [(a, a - 1)] if isinstance(a, int) else [],
-                       "-+": lambda a, b: [(b + 1, b)] if isinstance(b, int) else []},
-    ("succ", 2): {"+-": lambda a, b: [(a, a + 1)] if isinstance(a, int) else [],
-                  "-+": lambda a, b: [(b - 1, b)] if isinstance(b, int) else []},
-    ("geq", 2): {"++": lambda a, b: [(a, b)] if isinstance(a, int) and isinstance(b, int)
-                 and a >= b else []},
+    ("head", 2): {"+-": lambda l, x: (l, l[0]) if isinstance(l, tuple) and l else None},
+    ("tail", 2): {"+-": lambda l, x: (l, l[1:]) if isinstance(l, tuple) and l else None},
+    ("empty", 1): {"-": lambda l: ((),)},
+    ("empty_out", 1): {"-": lambda l: ((),)},
+    ("even", 1): {"+": lambda x: (x,) if isinstance(x, int) and x % 2 == 0 else None},
+    ("odd", 1): {"+": lambda x: (x,) if isinstance(x, int) and x % 2 == 1 else None},
+    ("one", 1): {"-": lambda x: (1,)},
+    ("zero", 1): {"-": lambda x: (0,)},
+    ("decrement", 2): {"+-": lambda a, b: (a, a - 1) if isinstance(a, int) else None,
+                       "-+": lambda a, b: (b + 1, b) if isinstance(b, int) else None},
+    ("succ", 2): {"+-": lambda a, b: (a, a + 1) if isinstance(a, int) else None,
+                  "-+": lambda a, b: (b - 1, b) if isinstance(b, int) else None},
+    ("geq", 2): {"++": lambda a, b: (a, b) if isinstance(a, int) and isinstance(b, int)
+                 and a >= b else None},
     # append(Front, Elem, Out): Out is Front with Elem appended
-    ("append", 3): {"++-": lambda f, e, o: [(f, e, f + (e,))] if isinstance(f, tuple) else [],
-                    "--+": lambda f, e, o: [(o[:-1], o[-1], o)] if isinstance(o, tuple) and o
-                    else []},
+    ("append", 3): {"++-": lambda f, e, o: (f, e, f + (e,)) if isinstance(f, tuple) else None,
+                    "--+": lambda f, e, o: (o[:-1], o[-1], o) if isinstance(o, tuple) and o
+                    else None},
 }
 
-# For each built-in and each pattern of bound arguments, the function of the
-# first mode whose "+" positions are bound, or None when there is none: so
-# ``_solve`` picks a built-in's mode with one lookup.
-_RUN = {key: {bound: next((fn for mode, fn in modes.items()
-                           if all(b or m == "-" for m, b in zip(mode, bound))), None)
-              for bound in product((False, True), repeat=key[1])}
+# Each built-in's row: indexed by the bitmask of the bound argument
+# positions (bit i for argument i), the function of the first mode whose
+# "+" positions are bound, or None when there is none.  A compiled call to
+# a built-in holds its row, so ``_solve`` picks a mode with one index.
+_RUN = {key: tuple(next((fn for mode, fn in modes.items()
+                         if all(m == "-" or mask >> i & 1 for i, m in enumerate(mode))),
+                        None)
+                   for mask in range(1 << key[1]))
         for key, modes in BUILTINS.items()}
 
 
@@ -423,34 +437,40 @@ class Evaluator:
         return pos, neg
 
     def _compile(self, h: Hypothesis):
-        """Compiled program: pred key -> list of (head codes, ordered body
-        codes, nvars).  Hypothesis rules come before background rules of the
-        same predicate; bodies are ordered by bound-variable flood-fill from
-        the head, built-ins and non-recursive literals first."""
+        """Compiled program: pred key -> list of compiled clauses (see
+        ``_compile_rule``).  Hypothesis rules come before background rules of
+        the same predicate; bodies are ordered by bound-variable flood-fill
+        from the head, built-ins and non-recursive literals first."""
+        heads = head_preds(h)
         rules_by_pred: dict = {}
-        for rule in sorted(h, key=lambda r: (r.head.pred, len(r.head.args),
-                                             len(r.body), repr(r))):
+        for rule in [*sorted(h, key=lambda r: (r.head.pred, len(r.head.args),
+                                                len(r.body), repr(r))),
+                     *self.bk.rules]:
             key = (rule.head.pred, len(rule.head.args))
-            rules_by_pred.setdefault(key, []).append(self._compile_rule(rule))
-        for key, rules in self.bk._rules_by_pred.items():
-            for rule in rules:
-                rules_by_pred.setdefault(key, []).append(self._compile_rule(rule))
+            rules_by_pred.setdefault(key, []).append(self._compile_rule(rule, heads))
         return rules_by_pred
 
-    def _compile_rule(self, rule: Rule):
-        varids: dict = {}
+    def _dispatch(self, key, heads):
+        """How a call to ``key`` runs in a program whose hypothesis defines
+        ``heads``: the ``_RUN`` row of a built-in, or None when it resolves
+        against facts and clauses.  A predicate that the background or the
+        hypothesis defines shadows a built-in, and an unknown predicate
+        resolves against nothing, so it fails."""
+        return None if key in self._user_keys or key in heads else _RUN.get(key)
 
-        def code(term):
-            if isinstance(term, Var):
-                if term not in varids:
-                    varids[term] = len(varids)
-                return ("v", varids[term])
-            return ("c", term)
-
-        head_codes = tuple(code(a) for a in rule.head.args)
-        head_pred = (rule.head.pred, len(rule.head.args))
+    def _compile_rule(self, rule: Rule, heads):
+        """A clause as (head, fresh, consts, body).  A resolvent's
+        environment holds a term for each variable of the clause and then
+        ``consts``.  ``body`` holds each body literal as a goal's code: its
+        key, its dispatch (see ``_dispatch``) and the environment index of
+        each argument.  When the head's arguments are distinct variables,
+        ``head`` is None and they come first, so the goal's walked arguments
+        are their terms and the variables of ``fresh`` start free.
+        Otherwise every variable starts free and ``head`` gives the index
+        that each head argument unifies with."""
         # order body: repeatedly pick the literal most connected to bound
         # vars, preferring built-ins, then non-recursive calls
+        head_pred = (rule.head.pred, len(rule.head.args))
         bound = set(a for a in rule.head.args if isinstance(a, Var))
         remaining = list(rule.body)
         remaining.sort(key=repr)
@@ -468,11 +488,28 @@ class Evaluator:
             remaining.remove(best)
             ordered.append(best)
             bound.update(a for a in best.args if isinstance(a, Var))
-        body_codes = tuple(
-            ((lit.pred, len(lit.args)), tuple(code(a) for a in lit.args))
-            for lit in ordered
-        )
-        return head_codes, body_codes, len(varids)
+        varids: dict = {}
+        for a in (*rule.head.args, *(a for lit in ordered for a in lit.args)):
+            if isinstance(a, Var):
+                varids.setdefault(a, len(varids))
+        consts: list = []
+
+        def code(term):
+            if isinstance(term, Var):
+                return varids[term]
+            consts.append(term)
+            return len(varids) + len(consts) - 1
+
+        head = tuple(code(a) for a in rule.head.args)
+        if len(head) <= len(varids) and head == tuple(range(len(head))):
+            head, fresh = None, range(len(head), len(varids))
+        else:
+            fresh = range(len(varids))
+        body = []
+        for lit in ordered:
+            key = (lit.pred, len(lit.args))
+            body.append((key, self._dispatch(key, heads), tuple(map(code, lit.args))))
+        return head, fresh, tuple(consts), tuple(body)
 
     def _prove(self, prog, example: Literal, memo) -> bool:
         # memo = (success set, failure dict keyed by remaining depth); tables
@@ -481,7 +518,10 @@ class Evaluator:
         # proof never runs down.
         check_deadline(self.deadline)
         succ, fail = memo
-        goal = ((example.pred, len(example.args)), example.args)
+        # a goal is its code and its environment (see ``_compile_rule``):
+        # the example's arguments are their own environment
+        key = (example.pred, len(example.args))
+        goal = ((key, self._dispatch(key, prog), range(len(example.args))), example.args)
         max_steps = self.budget.max_steps
         for depth in self.budget.depth_schedule():
             # [countdown to the next check, steps held in reserve]
@@ -501,60 +541,70 @@ class Evaluator:
         steps[0] -= 1
         if steps[0] <= 0:
             self._check(steps)
-        user_keys = self._user_keys
-        # select the first ready goal: user predicates are always ready, a
+        # select the first ready goal: a resolved goal is always ready, a
         # built-in once the "+" positions of one of its modes are bound
-        chosen = -1
-        sols = None
-        walked = None
-        for i, (key, args) in enumerate(goals):
-            if key in user_keys or key in prog:
-                chosen = i
-                break
-            run = _RUN.get(key)
+        for i, ((key, run, codes), env) in enumerate(goals):
             if run is None:
-                chosen = i  # unknown predicate: fails below
                 break
-            w = []
-            bound = []
-            for a in args:
+            walked = []
+            bound = 0  # bit j set when argument j is bound
+            bit = 1
+            for j in codes:
+                a = env[j]
                 while type(a) is _FVar:
                     r = a.ref
                     if r is None:
                         break
                     a = r
-                w.append(a)
-                bound.append(type(a) is not _FVar)
-            fn = run[tuple(bound)]
-            if fn is None:
-                continue  # no mode has its "+" positions bound: defer
-            chosen, sols, walked = i, fn(*w), w
-            break
-        if chosen < 0:
+                else:
+                    bound |= bit
+                walked.append(a)
+                bit += bit
+            fn = run[bound]
+            if fn is not None:
+                break
+        else:
             return False  # only deferred built-ins remain
-        key, args = goals[chosen]
-        rest = goals[1:] if chosen == 0 else goals[:chosen] + goals[chosen + 1:]
+        rest = goals[1:] if i == 0 else goals[:i] + goals[i + 1:]
 
-        if sols is not None:
-            for sol in sols:
-                mark = len(trail)
-                if self._unify_tuple(walked, sol, trail):
-                    if self._solve(prog, rest, depth, trail, succ, fail, steps):
-                        return True
-                self._undo(trail, mark)
+        if run is not None:
+            sol = fn(*walked)
+            if sol is None:
+                return False
+            # the walked arguments are dereferenced and the solution is
+            # ground, so each position is the same term, a free variable
+            # to bind, or a mismatch; a variable can recur in one call
+            mark = len(trail)
+            for a, s in zip(walked, sol):
+                if a is s:
+                    continue
+                if type(a) is _FVar:
+                    if a.ref is None:
+                        a.ref = s
+                        trail.append(a)
+                        continue
+                    a = a.ref
+                if a != s:
+                    break
+            else:
+                if self._solve(prog, rest, depth, trail, succ, fail, steps):
+                    return True
+            self._undo(trail, mark)
             return False
 
+        # a resolved goal needs no bitmask, only whether it is ground
         ground = True
-        w = []
-        for a in args:
+        walked = []
+        for j in codes:
+            a = env[j]
             while type(a) is _FVar:
                 r = a.ref
                 if r is None:
                     ground = False
                     break
                 a = r
-            w.append(a)
-        walked = tuple(w)
+            walked.append(a)
+        walked = tuple(walked)
         if not ground:
             return self._resolve(prog, key, walked, rest, depth, trail, succ, fail, steps)
         # a ground goal is proven in isolation: no bindings escape, so
@@ -597,44 +647,19 @@ class Evaluator:
             self._undo(trail, mark)
         clauses = prog.get(key, ())
         if clauses and depth > 0:
-            mat = self._mat
-            for head_codes, body_codes, nvars in clauses:
+            unify = self._unify
+            for head, fresh, consts, body in clauses:
                 mark = len(trail)
-                env = [None] * nvars
-                if self._head_unify(head_codes, walked, env, trail):
-                    body = tuple([(bkey, mat(codes, env)) for bkey, codes in body_codes])
-                    if self._solve(prog, body + rest, depth - 1, trail, succ, fail, steps):
+                env = list(walked) if head is None else []
+                for _ in fresh:
+                    env.append(_FVar())
+                env += consts
+                if head is None or all(unify(env[j], a, trail) for j, a in zip(head, walked)):
+                    goals = tuple([(c, env) for c in body])
+                    if self._solve(prog, goals + rest, depth - 1, trail, succ, fail, steps):
                         return True
                 self._undo(trail, mark)
         return False
-
-    @staticmethod
-    def _mat(codes, env):
-        """A body literal's arguments under ``env``, with a fresh variable for
-        each clause variable not yet bound."""
-        args = []
-        for kind, val in codes:
-            if kind == "v":
-                v = env[val]
-                if v is None:
-                    v = env[val] = _FVar()
-                args.append(v)
-            else:
-                args.append(val)
-        return tuple(args)
-
-    def _head_unify(self, codes, walked, env, trail) -> bool:
-        for code, a in zip(codes, walked):
-            if code[0] == "v":
-                i = code[1]
-                cur = env[i]
-                if cur is None:
-                    env[i] = a
-                elif not self._unify(cur, a, trail):
-                    return False
-            elif not self._unify(code[1], a, trail):
-                return False
-        return True
 
     @staticmethod
     def _unify(a, b, trail) -> bool:

@@ -112,6 +112,18 @@ class Bias:
         kwargs: dict = {}
         constants: dict = {}
         arg_types: dict = {}
+
+        # a repeated declaration adds nothing, and a type or a setting that
+        # contradicts an earlier one is an error
+        def add(seen, value):
+            if value not in seen:
+                seen.append(value)
+
+        def setting(table, key, value):
+            if table.setdefault(key, value) != value:
+                raise BiasError(f"bias directive {Literal(name, args)!r} contradicts "
+                                f"an earlier {name} directive")
+
         for name, args in directives:
             if name not in _DIRECTIVES:
                 raise BiasError(f"unknown bias directive {name!r}")
@@ -120,20 +132,19 @@ class Bias:
                 raise BiasError(
                     f"bad bias directive {Literal(name, args)!r}: expected {usage}")
             if name == "head_pred":
-                targets.append(args)
+                add(targets, args)
             elif name == "body_pred":
-                body_preds.append(args)
+                add(body_preds, args)
+            elif name == "constant":
+                add(constants.setdefault(args[0], []), args[1])
             elif name == "type":
                 pred, types = args
-                if isinstance(types, str):
-                    types = (types,)
-                arg_types[(pred, len(types))] = tuple(types)
-            elif name == "constant":
-                constants.setdefault(args[0], []).append(args[1])
-            elif name in ("max_vars", "max_body", "max_rules"):
-                kwargs[name] = args[0]
+                types = (types,) if isinstance(types, str) else tuple(types)
+                setting(arg_types, (pred, len(types)), types)
+            elif name == "enable_recursion":
+                setting(kwargs, "allow_recursion", True)
             else:
-                kwargs["allow_recursion"] = True
+                setting(kwargs, name, args[0])
         return cls(targets, body_preds, constants=constants,
                    arg_types=arg_types, **kwargs)
 

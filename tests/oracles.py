@@ -106,6 +106,127 @@ def fixpoint_coverage(bk_facts, bk_rules, h, examples, constants):
 
 
 # ---------------------------------------------------------------------------
+# Top-down SLD resolution (facts, rules and built-ins)
+# ---------------------------------------------------------------------------
+
+class _OVar:
+    """A variable of one renamed clause; equal only to itself."""
+
+    __slots__ = ()
+
+
+def _o_walk(t, s):
+    while isinstance(t, _OVar) and t in s:
+        t = s[t]
+    return t
+
+
+def _o_unify(a, b, s):
+    """``s`` extended to unify ``a`` and ``b``, or None."""
+    a, b = _o_walk(a, s), _o_walk(b, s)
+    if a is b:
+        return s
+    if isinstance(a, _OVar):
+        return {**s, a: b}
+    if isinstance(b, _OVar):
+        return {**s, b: a}
+    return s if a == b else None
+
+
+def _o_unify_all(xs, ys, s):
+    for x, y in zip(xs, ys):
+        s = _o_unify(x, y, s)
+        if s is None:
+            return None
+    return s
+
+
+class OracleGaveUp(Exception):
+    """The oracle selected more goals than it was allowed to."""
+
+
+def naive_sld_coverage(facts, rules, h, examples, max_depth, max_steps=20_000):
+    """(pos_mask, neg_mask) of ``h`` by depth-bounded top-down SLD
+    resolution over ``facts``, the background ``rules`` and the built-ins
+    of ``BUILTINS``, with no tables of any kind.  Each goal carries the
+    depth left to it: resolving it with a clause gives each body goal one
+    less, and no clause resolves at depth 0.  The selected goal is the first
+    that can run: a predicate that the facts, the rules or ``h`` define
+    runs at once, and so does an unknown predicate, which fails; a built-in
+    runs in the first of its modes whose "+" positions are bound, and
+    otherwise it waits.  A branch where only waiting built-ins are left
+    fails.  Raises ``OracleGaveUp`` once one example's proof has selected
+    ``max_steps`` goals: with no tables, a program that calls its head
+    twice can take a time exponential in the depth."""
+    from mdlsynth.evaluate import BUILTINS
+
+    facts_by: dict = {}
+    rules_by: dict = {}
+    for f in facts:
+        facts_by.setdefault((f.pred, len(f.args)), []).append(f.args)
+    for r in list(rules) + sorted(h, key=format_rule):
+        rules_by.setdefault((r.head.pred, len(r.head.args)), []).append(r)
+
+    def rename(rule):
+        fresh: dict = {}
+
+        def term(a):
+            if isinstance(a, Var):
+                return fresh.setdefault(a, _OVar())
+            return a
+
+        return (tuple(map(term, rule.head.args)),
+                [(b.pred, tuple(map(term, b.args)))
+                 for b in sorted(rule.body, key=repr)])
+
+    steps = [0]  # goals selected in the current example's proof
+
+    def solve(goals, s):
+        if not goals:
+            yield s
+            return
+        steps[0] += 1
+        if steps[0] > max_steps:
+            raise OracleGaveUp
+        for i, (pred, args, depth) in enumerate(goals):
+            key = (pred, len(args))
+            if key in facts_by or key in rules_by or key not in BUILTINS:
+                break
+            walked = [_o_walk(a, s) for a in args]
+            fn = next((fn for mode, fn in BUILTINS[key].items()
+                       if all(m == "-" or not isinstance(a, _OVar)
+                              for m, a in zip(mode, walked))), None)
+            if fn is not None:
+                break
+        else:
+            return
+        rest = goals[:i] + goals[i + 1:]
+        if key in facts_by or key in rules_by:
+            for fact_args in facts_by.get(key, ()):
+                s2 = _o_unify_all(fact_args, args, s)
+                if s2 is not None:
+                    yield from solve(rest, s2)
+            for rule in rules_by.get(key, ()) if depth > 0 else ():
+                head, body = rename(rule)
+                s2 = _o_unify_all(head, args, s)
+                if s2 is not None:
+                    yield from solve([(p, a, depth - 1) for p, a in body] + rest, s2)
+        elif key in BUILTINS:
+            sol = fn(*walked)
+            s2 = None if sol is None else _o_unify_all(walked, sol, s)
+            if s2 is not None:
+                yield from solve(rest, s2)
+
+    def proves(e):
+        steps[0] = 0
+        return any(True for _ in solve([(e.pred, e.args, max_depth)], {}))
+
+    pos = sum(1 << i for i, e in enumerate(examples.pos) if proves(e))
+    neg = sum(1 << i for i, e in enumerate(examples.neg) if proves(e))
+    return pos, neg
+
+
+# ---------------------------------------------------------------------------
 # Naive rule enumeration
 # ---------------------------------------------------------------------------
 

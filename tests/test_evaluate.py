@@ -26,7 +26,13 @@ from mdlsynth.parsing import parse_ground_atom, parse_rules
 from mdlsynth.tasks import _GT, generate_task
 
 from .helpers import random_hypothesis, tiny_task
-from .oracles import fixpoint_coverage, naive_mode_runs, naive_usable
+from .oracles import (
+    OracleGaveUp,
+    fixpoint_coverage,
+    naive_mode_runs,
+    naive_sld_coverage,
+    naive_usable,
+)
 
 
 def prog(text):
@@ -451,6 +457,41 @@ class TestProofShortcuts:
         assert ev.proofs_skipped == 0
 
 
+class TestAgainstNaiveSLD:
+    BUDGET = EvalBudget(max_depth=8, max_steps=2000)
+
+    @pytest.mark.parametrize("family", LIST_FAMILIES)
+    def test_random_programs_match_naive_sld(self, family):
+        # lone rules, and a rule that calls the target with one that does
+        # not, so that some programs recurse, and the family's target
+        _, rules = family_rules(family)
+        task = generate_task(family, 20, 0)
+        targets = set(task.bias.targets)
+        calling = {r for r in rules if any((b.pred, b.arity) in targets for b in r.body)}
+        calls = [r for r in rules if r in calling]
+        base = [r for r in rules if r not in calling]
+        rng = random.Random(101 + LIST_FAMILIES.index(family))
+        programs = [frozenset((rng.choice(rules),)) if i % 2 else
+                    frozenset((rng.choice(calls), rng.choice(base))) for i in range(50)]
+        programs.append(prog(_GT[family]))
+        ev = Evaluator(task.bk, task.train, self.BUDGET)
+        compared = covering = 0
+        for h in programs:
+            before = ev.budget_exhausted
+            got = masks(ev.test(h))
+            try:
+                want = naive_sld_coverage(task.bk.facts, task.bk.rules, h, task.train,
+                                          self.BUDGET.max_depth, max_steps=1000)
+            except OracleGaveUp:
+                continue  # a program that calls its head twice
+            if ev.budget_exhausted == before:
+                assert got == want, h
+                compared += 1
+                covering += want != (0, 0)
+        assert compared >= 45 and covering >= 3
+        assert masks(ev.test(prog(_GT[family]))) == (2**10 - 1, 0)
+
+
 class TestDeadline:
     def test_stops_a_program_that_exhausts_every_budget(self):
         # the second rule swaps the lists, so SLD resolution runs every
@@ -541,6 +582,12 @@ class TestModes:
         for key, modes in BUILTINS.items():
             sample = self.SAMPLES[key]
             assert all(len(m) == key[1] and set(m) <= {"+", "-"} for m in modes)
+            # a built-in is a function of its inputs: each mode gives the one
+            # solution, which on a true sample is the sample itself
+            for fn in modes.values():
+                sol = fn(*sample)
+                assert type(sol) is tuple and len(sol) == key[1], key
+                assert sol == sample, key
             for n in range(key[1] + 1):
                 for bound in combinations(range(key[1]), n):
                     head = Literal("f", tuple(Var(i) for i in bound))
@@ -569,6 +616,35 @@ class TestModes:
         assert ("head", 2) in shadowed.modes()
         ruled = BackgroundKnowledge.from_source("head(A,B):- tail(A,B).")
         assert ("head", 2) not in ruled.modes()
+
+
+class TestDispatch:
+    def test_example_goal_runs_a_built_in(self):
+        ev = Evaluator(BackgroundKnowledge(), ExampleSet((), ()))
+        assert ev.covers(frozenset(), atom("even(4)"))
+        assert not ev.covers(frozenset(), atom("even(3)"))
+
+    @pytest.mark.parametrize("source", ["even(3).", "even(A):- odd(A)."])
+    def test_background_shadows_a_built_in(self, source):
+        # as the example goal and as a body literal, even/1 is the
+        # background's: true of 3 and not of 4
+        ev = Evaluator(BackgroundKnowledge.from_source(source), ExampleSet((), ()))
+        h = prog("f(A):- even(A).")
+        assert ev.covers(frozenset(), atom("even(3)"))
+        assert not ev.covers(frozenset(), atom("even(4)"))
+        assert ev.covers(h, atom("f(3)"))
+        assert not ev.covers(h, atom("f(4)"))
+
+    @pytest.mark.parametrize("unknown", ["nosuch(A)", "nosuch(B)"])
+    def test_unknown_body_predicate_fails_its_branch(self, unknown):
+        # geq waits for B, so the unknown call is selected after it
+        ev = Evaluator(BackgroundKnowledge(), ExampleSet((), ()))
+        h = prog(f"f(A):- geq(A,B),{unknown}.")
+        ((_, _, _, body),) = ev._compile(h)[("f", 1)]
+        assert [key for key, _, _ in body] == [("geq", 2), ("nosuch", 1)]
+        assert not ev.covers(h, atom("f(1)"))
+        assert ev.covers(h | prog("f(A):- one(A)."), atom("f(1)"))
+        assert ev.budget_exhausted == 0
 
 
 class TestBuiltins:
@@ -601,6 +677,13 @@ class TestBuiltins:
         assert ev.covers(h, atom("r([1,2],[2,1])"))
         assert not ev.covers(h, atom("r([1,2],[1,2])"))
 
+    def test_a_variable_twice_in_one_call_takes_one_value(self):
+        # append(A,A,B) runs in its "--+" mode, and A cannot be both the
+        # front of B and its last element
+        ev = Evaluator(BackgroundKnowledge(), ExampleSet((), ()))
+        assert not ev.covers(prog("f(B):- append(A,A,B)."), atom("f([1,2])"))
+        assert ev.covers(prog("f(B):- append(A,C,B)."), atom("f([1,2])"))
+
     def test_bk_facts_shadow_builtins(self):
         bk = BackgroundKnowledge(facts=[Literal("head", ("a", "b"))])
         ex = ExampleSet((atom("f(a)"),), ())
@@ -619,3 +702,26 @@ class TestBackgroundRules:
         ev = Evaluator(bk, ex)
         assert ev.covers(prog("f(A):- grand(A,B)."), atom("f(a)"))
         assert not ev.covers(prog("f(A):- grand(A,a)."), atom("f(a)"))
+
+    def test_heads_with_constants_and_repeated_variables(self):
+        bk = BackgroundKnowledge.from_source(
+            "same(A,A).  first(a,B):- one(B).  last(A,a):- g(A).  p(a):- q(b).  "
+            "r(a):- q(c).  g(x).  h(a).  k(b).  q(b).")
+        ev = Evaluator(bk, ExampleSet((), ()))
+        assert ev.covers(frozenset(), atom("same(3,3)"))
+        assert not ev.covers(frozenset(), atom("same(3,4)"))
+        # a constant after the head variables, with no other body variable
+        assert ev.covers(frozenset(), atom("last(x,a)"))
+        assert not ev.covers(frozenset(), atom("last(x,b)"))
+        h = prog("f(A):- last(A,B),h(B).")
+        assert ev.covers(h, atom("f(x)"))
+        h = prog("f(A):- last(A,B),k(B).")
+        assert not ev.covers(h, atom("f(x)"))
+        # a constant head and a constant body literal
+        assert ev.covers(frozenset(), atom("p(a)"))
+        assert not ev.covers(frozenset(), atom("p(b)"))
+        assert not ev.covers(frozenset(), atom("r(a)"))
+        h = prog("f(A):- first(A,B).")
+        assert ev.covers(h, atom("f(a)")) and not ev.covers(h, atom("f(b)"))
+        h = prog("f(A,B):- same(A,C),same(C,B).")
+        assert ev.covers(h, atom("f(2,2)")) and not ev.covers(h, atom("f(2,3)"))

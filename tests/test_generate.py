@@ -24,7 +24,8 @@ from mdlsynth.generate import (
 )
 from mdlsynth.logic import Literal, Rule, canonicalize, prog_size, program_subsumes
 from mdlsynth.parsing import parse_rules
-from mdlsynth.tasks import _GT, generate_task
+from mdlsynth.search import SearchConfig, learn
+from mdlsynth.tasks import _GT, FAMILIES, generate_task
 
 from .oracles import (
     brute_canonical_key,
@@ -303,6 +304,45 @@ class TestBiasValidation:
         assert b.targets == list(SMALL_BIAS.targets)
         assert b.max_vars == SMALL_BIAS.max_vars
         assert b.allow_recursion
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bias_written_twice_is_the_bias_written_once(self, family):
+        src = generate_task(family, 10, 0).bias.to_source()
+        assert Bias.from_source(src + src) == Bias.from_source(src)
+
+    def test_repeats_keep_first_seen_order(self):
+        b = Bias.from_source("head_pred(f,1). body_pred(q,1). body_pred(p,1). "
+                             "body_pred(q,1). head_pred(f,1). type(q,(int,)). "
+                             "constant(int,2). constant(int,1). constant(int,2). "
+                             "type(q,(int,)). max_vars(3). max_vars(3). "
+                             "enable_recursion. enable_recursion.")
+        assert b.targets == [("f", 1)]
+        assert b.body_preds == [("q", 1), ("p", 1)]
+        assert b.constants == {"int": [2, 1]}
+        assert b.arg_types == {("q", 1): ("int",)}
+        assert b.max_vars == 3 and b.allow_recursion
+
+    @pytest.mark.parametrize("directives", [
+        "max_vars(3). max_vars(4).", "max_body(2). max_body(3).",
+        "max_rules(1). max_rules(2).", "type(p,(int,)). type(p,(list,)).",
+    ])
+    def test_contradicting_directive_is_named(self, directives):
+        name = directives.split("(")[0]
+        with pytest.raises(BiasError, match=f"bias directive {name}.* contradicts"):
+            Bias.from_source("head_pred(f,1). body_pred(p,1). " + directives)
+
+    def test_bias_written_twice_searches_as_written_once(self):
+        # each target and body predicate declared twice would double the
+        # literal templates, and the search would test 71 programs
+        task = generate_task("evens", 20, 0)
+        src = task.bias.to_source()
+        tested = []
+        for text in (src, src + src):
+            _, stats = learn(task.bk, task.train, Bias.from_source(text),
+                             SearchConfig(timeout=60))
+            assert stats.completed
+            tested.append(stats.programs_tested)
+        assert tested == [45, 45]
 
 
 class TestNextProgram:

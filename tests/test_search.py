@@ -114,38 +114,25 @@ class TestLearnBasics:
             assert s1.programs_tested == s2.programs_tested
 
     # the in-process test above cannot see an order that follows string
-    # hashes, since both of its runs share one PYTHONHASHSEED
-    LEARN_RECORDING_TESTS = (
-        "import json, sys\n"
-        "from mdlsynth.evaluate import Evaluator\n"
-        "from mdlsynth.logic import format_program\n"
-        "from mdlsynth.search import SearchConfig, learn\n"
-        "from mdlsynth.tasks import generate_task\n"
-        "family, n, noise = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])\n"
-        "task = generate_task(family, n, 0)\n"
-        "task = task.with_noise(noise, 0) if noise else task\n"
-        "tested, test = [], Evaluator.test\n"
-        "def recording(self, h):\n"
-        "    tested.append(format_program(h))\n"
-        "    return test(self, h)\n"
-        "Evaluator.test = recording\n"
-        "h, stats = learn(task.bk, task.train, task.bias, SearchConfig(timeout=60))\n"
-        "print(json.dumps({'tested': tested, 'completed': stats.completed,\n"
-        "                  'costs': [c for _, c in stats.trajectory]}))\n")
-
+    # hashes, since both of its runs share one PYTHONHASHSEED; the records
+    # hold each tested program, its masks and the budget exhaustions, and
+    # the last line their digest and the resolution steps charged
     @pytest.mark.parametrize("family, n, noise", [("zendo1", 20, 0.0),
                                                   ("evens", 40, 0.1)])
     def test_search_independent_of_hash_seed(self, family, n, noise):
+        root = Path(__file__).resolve().parent.parent
         src = str(Path(mdlsynth.__file__).resolve().parent.parent)
         procs = [subprocess.Popen(
-            [sys.executable, "-c", self.LEARN_RECORDING_TESTS, family, str(n),
-             str(noise)], stdout=subprocess.PIPE, text=True,
+            [sys.executable, "-m", "tests.search_record", family, str(n),
+             str(noise)], stdout=subprocess.PIPE, text=True, cwd=root,
             env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src))
             for seed in ("1", "2")]
-        runs = [json.loads(proc.communicate(timeout=120)[0]) for proc in procs]
+        outs = [proc.communicate(timeout=120)[0].splitlines() for proc in procs]
         assert all(proc.returncode == 0 for proc in procs)
-        assert runs[0]["completed"] and len(runs[0]["tested"]) > 50
-        assert runs[0] == runs[1]
+        runs = [json.loads(out[-1]) for out in outs]
+        assert runs[0]["completed"] and runs[0]["tests"] > 50
+        assert len(outs[0]) == runs[0]["tests"] + 1
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
     def test_config_rejects_a_timeout_that_is_not_positive(self, timeout):
