@@ -472,19 +472,17 @@ class Evaluator:
         # vars, preferring built-ins, then non-recursive calls
         head_pred = (rule.head.pred, len(rule.head.args))
         bound = set(a for a in rule.head.args if isinstance(a, Var))
-        remaining = list(rule.body)
-        remaining.sort(key=repr)
+        remaining = sorted(rule.body, key=repr)
         ordered = []
-        while remaining:
-            def score(lit):
-                key = (lit.pred, len(lit.args))
-                vs = [a for a in lit.args if isinstance(a, Var)]
-                shared = sum(1 for v in vs if v in bound)
-                is_builtin = key in self._modes
-                is_rec = key == head_pred
-                return (-shared, is_rec, not is_builtin)
 
-            best = min(remaining, key=lambda l: (score(l), repr(l)))
+        def score(lit):
+            key = (lit.pred, len(lit.args))
+            shared = sum(1 for a in lit.args if isinstance(a, Var) and a in bound)
+            return (-shared, key == head_pred, key not in self._modes)
+
+        while remaining:
+            # min keeps the first of equal scores: the least by text
+            best = min(remaining, key=score)
             remaining.remove(best)
             ordered.append(best)
             bound.update(a for a in best.args if isinstance(a, Var))

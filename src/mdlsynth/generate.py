@@ -53,7 +53,7 @@ from itertools import count, permutations, product
 
 from .constrain import ConstraintStore
 from .evaluate import check_deadline, mode_closure
-from .logic import Literal, Rule, Var, _literal_sort_key, is_separable
+from .logic import Literal, Rule, Var, _literal_sort_key, format_term, is_separable
 # bound here so that a profiler can patch generate.canonicalize; the pool
 # build computes canonical forms on template indices instead
 from .logic import canonicalize  # noqa: F401
@@ -93,6 +93,14 @@ class Bias:
     def __post_init__(self):
         if not self.targets:
             raise BiasError("bias declares no head predicate")
+        declared = [*self.targets, *self.body_preds]
+        for name, arity in declared:
+            if arity < 0:
+                raise BiasError(f"predicate {name} has negative arity {arity}")
+        for (name, arity), types in self.arg_types.items():
+            if (name, arity) not in declared or len(types) != arity:
+                raise BiasError(f"type of {name} with {len(types)} arguments matches "
+                                f"no head_pred or body_pred")
         if self.max_body < 1 or self.max_rules < 1:
             raise BiasError("max_body and max_rules must be at least 1")
         if self.max_vars < max(a for _, a in self.targets):
@@ -159,9 +167,9 @@ class Bias:
         lines = [f"head_pred({n},{a})." for n, a in self.targets]
         lines += [f"body_pred({n},{a})." for n, a in self.body_preds]
         for (n, _a), types in sorted(self.arg_types.items()):
-            lines.append(f"type({n},({','.join(types)})).")
+            lines.append(f"type({n},({','.join(map(format_term, types))})).")
         for ty, vals in sorted(self.constants.items()):
-            lines += [f"constant({ty},{v})." for v in vals]
+            lines += [f"constant({ty},{format_term(v)})." for v in vals]
         lines.append(f"max_vars({self.max_vars}).")
         lines.append(f"max_body({self.max_body}).")
         lines.append(f"max_rules({self.max_rules}).")

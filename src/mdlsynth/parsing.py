@@ -1,8 +1,18 @@
-"""Prolog-style reading and writing of clauses, examples, and directives.
+"""Prolog-style reading of clauses, examples, and directives.
 
-The accepted syntax is deliberately small: facts ``p(a,1).``, rules
-``head(A,B):- b1(A,C),b2(C,B).``, ``%`` line comments, integers, lowercase
-constant symbols, uppercase variables, and ground lists ``[1,2,3]``.
+Every input file is read by one small grammar, with ``%`` line comments:
+
+    clause    := atom [":-" atom {"," atom}] "."    arguments are terms
+    directive := atom "."                           arguments are dirargs
+    atom      := name ["(" arg {"," arg} ")"]
+    term      := integer | name | Variable | "[" [value {"," value}] "]"
+    value     := a term without variables
+    dirarg    := value | "(" dirarg {"," dirarg} [","] ")"
+
+An example is ``pos(atom).``, ``neg(atom).`` or a bare ``atom.``, its
+arguments values.  In a directive a list constant is written ``[a,b]``, as
+in a clause; the parenthesised tuple that ``type`` takes, with an optional
+trailing comma as in ``type(empty,(list,)).``, reads as the same value.
 Function symbols other than lists are not supported.
 """
 
@@ -10,7 +20,7 @@ from __future__ import annotations
 
 import re
 
-from .logic import Literal, Rule, Var, canonicalize, format_rule
+from .logic import Literal, Rule, Var, canonicalize
 
 __all__ = [
     "ParseError",
@@ -18,7 +28,6 @@ __all__ = [
     "parse_ground_atom",
     "parse_examples",
     "parse_directives",
-    "format_rule",
 ]
 
 
@@ -46,9 +55,8 @@ def _tokenize(text: str):
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r} at offset {pos}")
         pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        out.append((m.lastgroup, m.group()))
+        if m.lastgroup != "ws":
+            out.append((m.lastgroup, m.group()))
     return out
 
 
@@ -56,6 +64,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.vars: dict = {}  # the current clause's variables by name
 
     def eof(self) -> bool:
         return self.i >= len(self.toks)
@@ -75,117 +84,65 @@ class _Parser:
         self.i += 1
         return v
 
-    # ---- terms ----------------------------------------------------------
+    def accept(self, value: str) -> bool:
+        """Take the next token if it is ``value``."""
+        if self.peek()[1] != value:
+            return False
+        self.i += 1
+        return True
 
-    def term(self, varmap: dict):
+    def items(self, read, close: str, trailing: bool = False) -> list:
+        """``read()`` once and again after each comma, then the ``close``
+        token; ``trailing`` allows a comma just before it."""
+        out = [read()]
+        while self.accept(","):
+            if trailing and self.peek()[1] == close:
+                break
+            out.append(read())
+        self.take(value=close)
+        return out
+
+    def term(self):
+        if self.accept("["):
+            return () if self.accept("]") else tuple(self.items(self.value, "]"))
         k, v = self.peek()
+        self.take()
         if k == "int":
-            self.take()
             return int(v)
         if k == "var":
-            self.take()
-            if v not in varmap:
-                varmap[v] = Var(len(varmap))
-            return varmap[v]
-        if k == "punct" and v == "[":
-            return self.list_term(varmap)
-        if k == "name":
-            self.take()
-            nk, nv = self.peek()
-            if nk == "punct" and nv == "(":
-                raise ParseError(f"nested compound term {v!r}(...) is not supported")
-            return v
-        raise ParseError(f"expected a term, got {v!r}")
+            return self.vars.setdefault(v, Var(len(self.vars)))
+        if k != "name":
+            raise ParseError(f"expected a term, got {v!r}")
+        if self.peek()[1] == "(":
+            raise ParseError(f"nested compound term {v!r}(...) is not supported")
+        return v
 
-    def list_term(self, varmap: dict):
-        self.take("punct", "[")
-        items = []
+    def value(self):
+        """A term without variables."""
         k, v = self.peek()
-        if k == "punct" and v == "]":
-            self.take()
-            return ()
-        while True:
-            t = self.term(varmap)
-            if isinstance(t, Var):
-                raise ParseError("variables inside list values are not supported")
-            items.append(t)
-            k, v = self.peek()
-            if k == "punct" and v == ",":
-                self.take()
-                continue
-            break
-        self.take("punct", "]")
-        return tuple(items)
+        if k == "var":
+            raise ParseError(f"variable {v} where a ground value is expected")
+        return self.term()
 
-    def atom(self, varmap: dict) -> Literal:
+    def atom(self, read) -> Literal:
+        """A predicate name and the arguments that ``read`` reads."""
         name = self.take("name")
-        k, v = self.peek()
-        if not (k == "punct" and v == "("):
+        if not self.accept("("):
             return Literal(name, ())
-        self.take()
-        args = [self.term(varmap)]
-        while True:
-            k, v = self.peek()
-            if k == "punct" and v == ",":
-                self.take()
-                args.append(self.term(varmap))
-            else:
-                break
-        self.take("punct", ")")
-        return Literal(name, tuple(args))
+        return Literal(name, tuple(self.items(read, ")")))
 
     def clause(self):
-        varmap: dict = {}
-        head = self.atom(varmap)
-        k, v = self.peek()
-        body = []
-        if k == "neck":
-            self.take()
-            body.append(self.atom(varmap))
-            while True:
-                k, v = self.peek()
-                if k == "punct" and v == ",":
-                    self.take()
-                    body.append(self.atom(varmap))
-                else:
-                    break
-        self.take("punct", ".")
-        return head, body
-
-    # ---- directives -----------------------------------------------------
-
-    def directive(self):
-        name = self.take("name")
-        args = []
-        if self.peek() == ("punct", "("):
-            self.take()
-            args.append(self.directive_arg())
-            while self.peek() == ("punct", ","):
-                self.take()
-                args.append(self.directive_arg())
-            self.take("punct", ")")
-        self.take("punct", ".")
-        return name, tuple(args)
+        self.vars = {}
+        head = self.atom(self.term)
+        if not self.accept(":-"):
+            self.take(value=".")
+            return head, []
+        return head, self.items(lambda: self.atom(self.term), ".")
 
     def directive_arg(self):
-        k, v = self.peek()
-        if k == "int":
-            self.take()
-            return int(v)
-        if k == "name":
-            self.take()
-            return v
-        if k == "punct" and v == "(":
-            self.take()
-            items = [self.directive_arg()]
-            while self.peek() == ("punct", ","):
-                self.take()
-                if self.peek() == ("punct", ")"):  # trailing comma: (list,)
-                    break
-                items.append(self.directive_arg())
-            self.take("punct", ")")
-            return tuple(items)
-        raise ParseError(f"unexpected directive argument {v!r}")
+        if not self.accept("("):
+            return self.value()
+        return tuple(self.items(self.directive_arg, ")", trailing=True))
 
 
 def parse_clauses(text: str) -> list:
@@ -201,23 +158,17 @@ def parse_clauses(text: str) -> list:
 def parse_rules(text: str) -> list:
     """Parse clauses and canonicalize each into a Rule (facts included, with
     empty bodies)."""
-    out = []
-    for head, body in parse_clauses(text):
-        out.append(canonicalize(Rule(head, frozenset(body))))
-    return out
+    return [canonicalize(Rule(head, frozenset(body)))
+            for head, body in parse_clauses(text)]
 
 
 def parse_ground_atom(text: str) -> Literal:
+    """One ground atom, with or without its closing ``.``."""
     p = _Parser(text)
-    varmap: dict = {}
-    atom = p.atom(varmap)
-    k, v = p.peek()
-    if k == "punct" and v == ".":
-        p.take()
+    atom = p.atom(p.value)
+    p.accept(".")
     if not p.eof():
         raise ParseError(f"trailing input after atom: {text!r}")
-    if varmap:
-        raise ParseError(f"atom {text!r} is not ground")
     return atom
 
 
@@ -227,38 +178,30 @@ def parse_examples(text: str, default_label: str | None = None):
     Lines are ``pos(atom).`` / ``neg(atom).``; bare ``atom.`` lines take
     ``default_label`` ('pos' or 'neg')."""
     p = _Parser(text)
-    pos, neg = [], []
+    out = {"pos": [], "neg": []}
     while not p.eof():
-        varmap: dict = {}
-        label = p.peek()[1]
-        if label in ("pos", "neg") and p.peek(1) == ("punct", "("):
+        if p.peek()[1] in out and p.peek(1) == ("punct", "("):
+            label = p.take()
             p.take()
-            p.take()
-            atom = p.atom(varmap)
-            p.take("punct", ")")
+            atom = p.atom(p.value)
+            p.take(value=")")
         else:
-            atom = p.atom(varmap)
             label = default_label
-        p.take("punct", ".")
-        if varmap:
-            raise ParseError(f"example {atom} is not ground")
-        if label == "pos":
-            pos.append(atom)
-        elif label == "neg":
-            neg.append(atom)
-        else:
+            atom = p.atom(p.value)
+        p.take(value=".")
+        if label not in out:
             raise ParseError(f"unlabelled example {atom} and no default label")
-    return pos, neg
+        out[label].append(atom)
+    return out["pos"], out["neg"]
 
 
 def parse_directives(text: str) -> list:
-    """Parse a directive file (e.g. a bias file) into (name, args) pairs.
-
-    Args may be names, integers, or parenthesized tuples of names, as in
-    ``type(head,(list,int)).``; zero-arity directives like
-    ``enable_recursion.`` are allowed."""
+    """Parse a directive file (e.g. a bias file) into (name, args) pairs;
+    zero-arity directives like ``enable_recursion.`` are allowed."""
     p = _Parser(text)
     out = []
     while not p.eof():
-        out.append(p.directive())
+        d = p.atom(p.directive_arg)
+        p.take(value=".")
+        out.append((d.pred, d.args))
     return out

@@ -74,14 +74,18 @@ def test_trace_prints_the_run_record(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["missing file", "timeout 0", "timeout nan",
-                                  "noise 1.5", "gen-task n 2", "head_pred(f)."])
+                                  "noise 1.5", "gen-task n 2", "head_pred(f).",
+                                  "type(p,(a,b,c))."])
 def test_bad_input_is_one_error_line(tmp_path, capsys, case):
     task_dir = tmp_path / "evens"
     assert main(["gen-task", "--family", "evens", "--n", "8",
                  "--out", str(task_dir)]) == 0
     capsys.readouterr()
     bad_bias = tmp_path / "bad_bias.pl"
-    bad_bias.write_text("head_pred(f).\n")
+    bad_bias.write_text({
+        "head_pred(f).": "head_pred(f).\n",
+        "type(p,(a,b,c)).": "head_pred(f,1).\nbody_pred(p,2).\ntype(p,(a,b,c)).\n",
+    }.get(case, ""))
     argv = {
         "missing file": _learn_args(tmp_path / "nowhere"),
         "timeout 0": _learn_args(task_dir) + ["--timeout", "0"],
@@ -90,6 +94,7 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case):
         "gen-task n 2": ["gen-task", "--family", "evens", "--n", "2",
                          "--out", str(tmp_path / "small")],
         "head_pred(f).": _learn_args(task_dir) + ["--bias", str(bad_bias)],
+        "type(p,(a,b,c)).": _learn_args(task_dir) + ["--bias", str(bad_bias)],
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -25,7 +25,7 @@ from mdlsynth.generate import (
 from mdlsynth.logic import Literal, Rule, canonicalize, prog_size, program_subsumes
 from mdlsynth.parsing import parse_rules
 from mdlsynth.search import SearchConfig, learn
-from mdlsynth.tasks import _GT, FAMILIES, generate_task
+from mdlsynth.tasks import _BIAS, _GT, FAMILIES, generate_task
 
 from .oracles import (
     brute_canonical_key,
@@ -300,10 +300,46 @@ class TestBiasValidation:
             Bias.from_source("head_pred(f,1). body_pred(p,1). " + directive)
 
     def test_round_trip(self):
-        b = Bias.from_source(SMALL_BIAS.to_source())
-        assert b.targets == list(SMALL_BIAS.targets)
-        assert b.max_vars == SMALL_BIAS.max_vars
-        assert b.allow_recursion
+        assert Bias.from_source(SMALL_BIAS.to_source()) == SMALL_BIAS
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_family_bias_round_trips(self, family):
+        b = Bias.from_source(_BIAS[family])
+        assert Bias.from_source(b.to_source()) == b
+
+    @pytest.mark.parametrize("pair", ["[a,b]", "(a,b)"])
+    def test_constants_round_trip(self, pair):
+        b = Bias.from_source(
+            "head_pred(f,2). body_pred(p,2). type(p,(t,u)). constant(t,-3). "
+            f"constant(t,[]). constant(u,k). constant(u,{pair}). "
+            "constant(u,[1,[c]]).")
+        assert b.constants == {"t": [-3, ()], "u": ["k", ("a", "b"), (1, ("c",))]}
+        assert "constant(u,[a,b])." in b.to_source()
+        assert Bias.from_source(b.to_source()) == b
+
+    @pytest.mark.parametrize("directives,name", [
+        ("head_pred(f,-1).", "f"), ("body_pred(p,-2).", "p"),
+    ])
+    def test_negative_arity_is_named(self, directives, name):
+        with pytest.raises(BiasError, match=f"predicate {name} has negative arity"):
+            Bias.from_source("head_pred(g,1). " + directives)
+
+    def test_negative_arity_is_named_on_construction(self):
+        with pytest.raises(BiasError, match="predicate p has negative arity -2"):
+            Bias(targets=[("g", 1)], body_preds=[("p", -2)])
+
+    @pytest.mark.parametrize("directive", [
+        "type(p,(a,b,c)).", "type(q,(a,b)).", "type(f,(a,b)).",
+    ])
+    def test_type_of_undeclared_predicate_is_named(self, directive):
+        name = directive[5]
+        with pytest.raises(BiasError, match=f"type of {name} with"):
+            Bias.from_source("head_pred(f,1). body_pred(p,2). " + directive)
+
+    def test_type_must_match_its_key(self):
+        with pytest.raises(BiasError, match="type of p with 1 arguments"):
+            Bias(targets=[("f", 1)], body_preds=[("p", 2)],
+                 arg_types={("p", 2): ("int",)})
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bias_written_twice_is_the_bias_written_once(self, family):

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from mdlsynth.logic import Literal, Rule, Var, format_rule
+from mdlsynth.logic import Literal, Rule, Var, canonicalize, format_rule
 from mdlsynth.parsing import (
     ParseError,
     parse_clauses,
@@ -44,6 +46,22 @@ class TestClauses:
             parse_clauses("f([A]).")
 
 
+def random_name(rng):
+    return rng.choice("abpqz") + "".join(rng.choice("az_Z09")
+                                        for _ in range(rng.randrange(3)))
+
+
+def random_value(rng, depth=0):
+    """An integer, a name or a list of values, possibly nested or empty."""
+    if depth < 3 and rng.random() < 0.3:
+        return tuple(random_value(rng, depth + 1) for _ in range(rng.randrange(4)))
+    return rng.randint(-20, 20) if rng.random() < 0.5 else random_name(rng)
+
+
+def random_literal(rng, term):
+    return Literal(random_name(rng), tuple(term() for _ in range(rng.randrange(4))))
+
+
 class TestRoundTrip:
     def test_rule_round_trips_through_canonical_form(self):
         texts = [
@@ -61,6 +79,25 @@ class TestRoundTrip:
         for text in ("f([1,3])", "g(a,b,-2)", "h([])", "z([1,2,3],[3,2,1])"):
             a = parse_ground_atom(text)
             assert parse_ground_atom(repr(a)) == a
+
+    def test_random_rules(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            n = rng.randint(1, 4)
+
+            def term():
+                return Var(rng.randrange(n)) if rng.random() < 0.5 else random_value(rng)
+
+            body = frozenset(random_literal(rng, term) for _ in range(rng.randrange(4)))
+            rule = canonicalize(Rule(random_literal(rng, term), body))
+            assert parse_rules(format_rule(rule)) == [rule], format_rule(rule)
+
+    def test_random_ground_atoms(self):
+        rng = random.Random(6)
+        for _ in range(500):
+            atom = random_literal(rng, lambda: random_value(rng))
+            assert parse_ground_atom(repr(atom)) == atom, repr(atom)
+            assert parse_examples(f"neg({atom!r}).") == ([], [atom])
 
 
 class TestExamples:
@@ -103,3 +140,13 @@ class TestDirectives:
     def test_unexpected_token(self):
         with pytest.raises(ParseError):
             parse_directives("max_vars(]).")
+
+    def test_list_argument_reads_as_the_tuple(self):
+        assert parse_directives("constant(t,[a,[1,b]]). constant(t,(a,(1,b))).") == [
+            ("constant", ("t", ("a", (1, "b"))))] * 2
+
+    @pytest.mark.parametrize("text", ["head_pred(F,1).", "constant(t,[a,B]).",
+                                      "type(p,(a,)", "foo().", "p(a,,b)."])
+    def test_bad_directive_argument(self, text):
+        with pytest.raises(ParseError):
+            parse_directives(text)

@@ -101,6 +101,16 @@ class TestGenerateTask:
         text = repr((t.train.pos, t.train.neg, t.test.pos, t.test.neg))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("family,digest", [
+        ("zendo1", "4560d68ede84d484"),
+        ("zendo2", "b2096a0b9825e1f9"),
+    ])
+    def test_zendo_examples_and_scenes_are_pinned(self, family, digest):
+        # each scene is labelled by proving the target over its own facts
+        t = generate_task(family, 100, 0)
+        text = repr((t.train.pos, t.train.neg, t.test.pos, t.test.neg, t.bk.facts))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     @pytest.mark.parametrize("family", ["evens", "dropk", "reverse", "sorted",
                                         "zendo1", "zendo2"])
     def test_ground_truth_is_perfect_on_both_splits(self, family):
