@@ -37,7 +37,11 @@ gives the mode to run for each bitmask of bound arguments.  Any other
 predicate resolves against nothing, so it fails.  The example goal is
 dispatched the same way.  The body goals of a resolvent share one
 environment of terms, which their compiled arguments index, so a goal's
-arguments are looked up only once it is selected.
+arguments are looked up only once it is selected.  A body is ordered when
+it is compiled: each call to the clause's own head comes after every other
+literal, so the literals that bind its inputs run first and the call is
+ground, and memoized, whenever they can ground it; the other literals go
+most connected to the bound variables first, built-ins first among equals.
 ``BackgroundKnowledge.modes`` gives the modes of the built-ins that the
 background does not shadow.  ``mode_closure`` runs a rule's body under
 these modes, starting with the head variables bound: it gives the
@@ -361,6 +365,17 @@ class Evaluator:
 
     # ---- public API ------------------------------------------------------
 
+    def with_background(self, bk: BackgroundKnowledge) -> "Evaluator":
+        """An Evaluator of the same examples, budget and deadline over
+        ``bk``.  A compiled program depends on the background only through
+        its rules and the built-ins it shadows; when ``bk`` has the same of
+        both, the two share their compiled programs, so ``covers`` compiles
+        each hypothesis once for both."""
+        ev = Evaluator(bk, self.examples, self.budget, self.deadline)
+        if ev.bk.rules == self.bk.rules and ev._modes == self._modes:
+            ev._programs = self._programs
+        return ev
+
     def covers(self, h: Hypothesis, example: Literal) -> bool:
         """B union h |= example, within budget.  Raises EngineError when the
         example's predicate/arity is unknown."""
@@ -440,7 +455,8 @@ class Evaluator:
         """Compiled program: pred key -> list of compiled clauses (see
         ``_compile_rule``).  Hypothesis rules come before background rules of
         the same predicate; bodies are ordered by bound-variable flood-fill
-        from the head, built-ins and non-recursive literals first."""
+        from the head, calls to the rule's own head last and built-ins
+        first among equally connected literals."""
         heads = head_preds(h)
         rules_by_pred: dict = {}
         for rule in [*sorted(h, key=lambda r: (r.head.pred, len(r.head.args),
@@ -468,8 +484,10 @@ class Evaluator:
         are their terms and the variables of ``fresh`` start free.
         Otherwise every variable starts free and ``head`` gives the index
         that each head argument unifies with."""
-        # order body: repeatedly pick the literal most connected to bound
-        # vars, preferring built-ins, then non-recursive calls
+        # order body: every call to the rule's own head comes after every
+        # other literal, so the literals that ground its inputs run first;
+        # among the rest, repeatedly pick the literal most connected to
+        # bound vars, preferring built-ins
         head_pred = (rule.head.pred, len(rule.head.args))
         bound = set(a for a in rule.head.args if isinstance(a, Var))
         remaining = sorted(rule.body, key=repr)
@@ -478,7 +496,7 @@ class Evaluator:
         def score(lit):
             key = (lit.pred, len(lit.args))
             shared = sum(1 for a in lit.args if isinstance(a, Var) and a in bound)
-            return (-shared, key == head_pred, key not in self._modes)
+            return (key == head_pred, -shared, key not in self._modes)
 
         while remaining:
             # min keeps the first of equal scores: the least by text

@@ -13,7 +13,8 @@ An example is ``pos(atom).``, ``neg(atom).`` or a bare ``atom.``, its
 arguments values.  In a directive a list constant is written ``[a,b]``, as
 in a clause; the parenthesised tuple that ``type`` takes, with an optional
 trailing comma as in ``type(empty,(list,)).``, reads as the same value.
-Function symbols other than lists are not supported.
+Function symbols other than lists are not supported.  A ``ParseError``
+ends with the line and column, counted from 1, where reading failed.
 """
 
 from __future__ import annotations
@@ -47,21 +48,33 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _position(line: int, column: int) -> str:
+    return f"at line {line}, column {column}"
+
+
 def _tokenize(text: str):
+    """(kind, text, line, column) of each token; lines and columns count
+    from 1."""
     pos = 0
+    line, line_start = 1, 0
     out = []
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r} at offset {pos}")
-        pos = m.end()
+            raise ParseError(f"unexpected character {text[pos]!r} "
+                             f"{_position(line, pos - line_start + 1)}")
         if m.lastgroup != "ws":
-            out.append((m.lastgroup, m.group()))
+            out.append((m.lastgroup, m.group(), line, pos - line_start + 1))
+        elif "\n" in m.group():
+            line += m.group().count("\n")
+            line_start = text.rindex("\n", pos, m.end()) + 1
+        pos = m.end()
     return out
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.vars: dict = {}  # the current clause's variables by name
@@ -70,17 +83,29 @@ class _Parser:
         return self.i >= len(self.toks)
 
     def peek(self, ahead: int = 0):
+        """(kind, text) of a token, (None, None) past the end."""
         j = self.i + ahead
-        return self.toks[j] if j < len(self.toks) else (None, None)
+        return self.toks[j][:2] if j < len(self.toks) else (None, None)
+
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """``message`` at the position of token ``at`` (the next token by
+        default), or of the end of the input past the last token."""
+        at = self.i if at is None else at
+        if at < len(self.toks):
+            line, column = self.toks[at][2:]
+        else:
+            line = self.text.count("\n") + 1
+            column = len(self.text) - self.text.rfind("\n")
+        return ParseError(f"{message} {_position(line, column)}")
 
     def take(self, kind=None, value=None):
         if self.eof():
-            raise ParseError("unexpected end of input")
-        k, v = self.toks[self.i]
+            raise self.error("unexpected end of input")
+        k, v = self.peek()
         if kind is not None and k != kind:
-            raise ParseError(f"expected {kind}, got {v!r}")
+            raise self.error(f"expected {kind}, got {v!r}")
         if value is not None and v != value:
-            raise ParseError(f"expected {value!r}, got {v!r}")
+            raise self.error(f"expected {value!r}, got {v!r}")
         self.i += 1
         return v
 
@@ -112,16 +137,17 @@ class _Parser:
         if k == "var":
             return self.vars.setdefault(v, Var(len(self.vars)))
         if k != "name":
-            raise ParseError(f"expected a term, got {v!r}")
+            raise self.error(f"expected a term, got {v!r}", self.i - 1)
         if self.peek()[1] == "(":
-            raise ParseError(f"nested compound term {v!r}(...) is not supported")
+            raise self.error(f"nested compound term {v!r}(...) is not supported",
+                             self.i - 1)
         return v
 
     def value(self):
         """A term without variables."""
         k, v = self.peek()
         if k == "var":
-            raise ParseError(f"variable {v} where a ground value is expected")
+            raise self.error(f"variable {v} where a ground value is expected")
         return self.term()
 
     def atom(self, read) -> Literal:
@@ -168,7 +194,7 @@ def parse_ground_atom(text: str) -> Literal:
     atom = p.atom(p.value)
     p.accept(".")
     if not p.eof():
-        raise ParseError(f"trailing input after atom: {text!r}")
+        raise p.error(f"trailing input after atom: {text!r}")
     return atom
 
 
@@ -180,6 +206,7 @@ def parse_examples(text: str, default_label: str | None = None):
     p = _Parser(text)
     out = {"pos": [], "neg": []}
     while not p.eof():
+        start = p.i
         if p.peek()[1] in out and p.peek(1) == ("punct", "("):
             label = p.take()
             p.take()
@@ -190,7 +217,7 @@ def parse_examples(text: str, default_label: str | None = None):
             atom = p.atom(p.value)
         p.take(value=".")
         if label not in out:
-            raise ParseError(f"unlabelled example {atom} and no default label")
+            raise p.error(f"unlabelled example {atom} and no default label", start)
         out[label].append(atom)
     return out["pos"], out["neg"]
 

@@ -324,13 +324,15 @@ def _sample_zendo_examples(family, gt, rng, n, fact_sink, start=0):
     want_neg = n // 2
     attempts = 0
     i = start
+    # each scene is labelled against its own facts, and every probe shares
+    # the one compiled target
+    probes = Evaluator(BackgroundKnowledge(), ExampleSet((), ()))
     while (len(pos) < want_pos or len(neg) < want_neg) and attempts < 400 * n:
         attempts += 1
         ident = f"s{i}"
         hint = family if rng.random() < 0.4 else None
         facts = _sample_zendo_structure(rng, ident, hint)
-        bk = BackgroundKnowledge(facts=facts)
-        probe = Evaluator(bk, ExampleSet((), ()))
+        probe = probes.with_background(BackgroundKnowledge(facts=facts))
         atom = Literal(family, (ident,))
         if probe.covers(gt, atom):
             if len(pos) >= want_pos:

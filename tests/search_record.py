@@ -9,10 +9,11 @@ flipped (noise seed 0).  Prints one JSON record per ``Evaluator.test``
 call: the program's text, both coverage masks and ``budget_exhausted``
 after the call.  The last line is one JSON object with the SHA-256 of
 those records, the number of resolution steps charged (one per selected
-goal), the number of tests, whether the search ended naturally, and its
-cost trajectory.  ``--tests K`` stops the search before its (K+1)-th test,
-so a search cut by its timeout can be compared over a prefix that does not
-depend on the host's speed.  Two runs with equal last lines tested the
+goal), the number of tests, the search's total ``budget_exhausted``,
+whether the search ended naturally, and its cost trajectory.  ``--tests
+K`` stops the search before its (K+1)-th test, so a search cut by its
+timeout can be compared over a prefix that does not depend on the host's
+speed.  Two runs with equal last lines tested the
 same programs, in the same order, with the same results and the same
 resolution work.
 """
@@ -58,6 +59,7 @@ def record(family: str, n: int, noise: float, timeout: float = 60.0,
         Evaluator.test, Evaluator._solve = test, solve
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     summary = {"sha256": digest, "steps": steps[0], "tests": len(records),
+               "budget_exhausted": stats.budget_exhausted,
                "completed": stats.completed,
                "costs": [c for _, c in stats.trajectory]}
     return records, summary

@@ -101,3 +101,16 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("mdlsynth: error: "), lines
+
+
+def test_bad_background_line_is_named(tmp_path, capsys):
+    task_dir = tmp_path / "evens"
+    assert main(["gen-task", "--family", "evens", "--n", "8",
+                 "--out", str(task_dir)]) == 0
+    capsys.readouterr()
+    bk = tmp_path / "bk.pl"
+    bk.write_text("p(a).\n" * 497 + "q(b  c).\n" + "p(b).\n" * 2)
+    assert main(_learn_args(task_dir) + ["--bk", str(bk)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "mdlsynth: error: expected ')', got 'c' at line 498, column 6"]

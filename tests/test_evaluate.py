@@ -83,12 +83,9 @@ class TestCovers:
         with pytest.raises(EngineError):
             ev.covers(prog(H1), atom("nosuch(3)"))
 
-    def test_each_hypothesis_compiled_once(self, three_example_setup,
-                                           monkeypatch):
-        # task generation asks one evaluator about hundreds of atoms with
-        # the same target program
-        bk, ex = three_example_setup
-        ev = Evaluator(bk, ex)
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """The hypotheses that ``Evaluator._compile`` is called on."""
         compiled = []
         compile_ = Evaluator._compile
 
@@ -97,10 +94,32 @@ class TestCovers:
             return compile_(self, h)
 
         monkeypatch.setattr(Evaluator, "_compile", counting)
+        return compiled
+
+    def test_each_hypothesis_compiled_once(self, three_example_setup, compiled):
+        # task generation asks one evaluator about hundreds of atoms with
+        # the same target program
+        bk, ex = three_example_setup
+        ev = Evaluator(bk, ex)
         got = [ev.covers(prog(h), e) for h in (H1, H2, H1, H2)
                for e in ex.pos]
         assert got == [True, False, False, False, True, False] * 2
         assert compiled == [prog(H1), prog(H2)]
+
+    def test_backgrounds_share_compiled_programs(self, compiled):
+        # zendo scenes are labelled against their own facts with one
+        # compiled target; a background that shadows a built-in compiles
+        # its own
+        h = prog("f(A):- p(A,B),even(B).")
+        ev = Evaluator(BackgroundKnowledge(), ExampleSet((), ()))
+        scenes = [ev.with_background(BackgroundKnowledge.from_source(f"p(a,{n}).p(b,3)."))
+                  for n in (2, 3)]
+        assert [s.covers(h, atom(f"f({c})")) for s in scenes for c in "ab"] == [
+            True, False, False, False]
+        assert compiled == [h]
+        shadowing = ev.with_background(BackgroundKnowledge.from_source("p(a,3). even(3)."))
+        assert shadowing.covers(h, atom("f(a)"))
+        assert compiled == [h, h]
 
 
 class TestTest:
@@ -494,13 +513,16 @@ class TestAgainstNaiveSLD:
 
 class TestDeadline:
     def test_stops_a_program_that_exhausts_every_budget(self):
-        # the second rule swaps the lists, so SLD resolution runs every
-        # example to its step budget, twice; the base rule runs but never
-        # succeeds, so the program must be proven
+        # the recursive rule calls its head with free arguments in any body
+        # order, so SLD resolution runs every example to its step budget;
+        # the base rule runs but never succeeds, so the program must be
+        # proven
         task = generate_task("dropk", 40, 0)
-        h = prog("dropk(A,B,C):- decrement(B,D),dropk(A,D,C)."
-                 "dropk(A,B,C):- dropk(C,B,A)."
+        h = prog("dropk(A,B,C):- dropk(A,D,E),dropk(E,D,C)."
                  "dropk(A,B,C):- decrement(B,B).")
+        ev = Evaluator(task.bk, task.train, EvalBudget(max_steps=2000))
+        ev.test(h)
+        assert ev.budget_exhausted == len(task.train)
         deadline = time.perf_counter() + 0.5
         ev = Evaluator(task.bk, task.train, deadline=deadline)
         with pytest.raises(SearchTimeout):
@@ -645,6 +667,50 @@ class TestDispatch:
         assert not ev.covers(h, atom("f(1)"))
         assert ev.covers(h | prog("f(A):- one(A)."), atom("f(1)"))
         assert ev.budget_exhausted == 0
+
+
+class TestBodyOrder:
+    @staticmethod
+    def body_keys(ev, rule):
+        ((_, _, _, body),) = ev._compile(frozenset((rule,)))[
+            (rule.head.pred, len(rule.head.args))]
+        return [key for key, _, _ in body]
+
+    def test_target_grounds_its_recursive_call_first(self):
+        task = generate_task("dropk", 10, 0)
+        ev = Evaluator(task.bk, task.train)
+        (rule,) = prog("dropk(A,B,C):- decrement(B,E),tail(A,D),dropk(D,E,C).")
+        assert self.body_keys(ev, rule) == [("decrement", 2), ("tail", 2), ("dropk", 3)]
+
+    @pytest.mark.parametrize("family", LIST_FAMILIES)
+    def test_head_calls_come_last(self, family):
+        task, rules = family_rules(family)
+        ev = Evaluator(task.bk, task.train)
+        recursive = 0
+        for rule in rules:
+            head = (rule.head.pred, len(rule.head.args))
+            calls = [key == head for key in self.body_keys(ev, rule)]
+            assert calls == sorted(calls), rule
+            recursive += any(calls) and not all(calls)
+        assert recursive > 0
+
+    def test_slow_program_exhausts_no_budget(self):
+        # run before decrement(B,D), the call dropk(A,D,C) has D free, gets
+        # no memo and recurses to the depth bound: 34 of these 100 examples
+        # then run out of their step budget
+        h = prog("dropk(A,B,C):- decrement(B,D),dropk(A,B,A),dropk(A,D,C)."
+                 "dropk(A,B,C):- tail(C,D).")
+        task = generate_task("dropk", 100, 0)
+        ev = Evaluator(task.bk, task.train, EvalBudget(max_steps=20_000))
+        ev.test(h)
+        assert ev.budget_exhausted == 0
+        task = generate_task("dropk", 20, 0)
+        budget = EvalBudget(max_depth=4)
+        ev = Evaluator(task.bk, task.train, budget)
+        got = masks(ev.test(h))
+        assert ev.budget_exhausted == 0 and got != (0, 0)
+        assert got == naive_sld_coverage(task.bk.facts, task.bk.rules, h, task.train,
+                                         budget.max_depth)
 
 
 class TestBuiltins:

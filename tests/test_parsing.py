@@ -150,3 +150,26 @@ class TestDirectives:
     def test_bad_directive_argument(self, text):
         with pytest.raises(ParseError):
             parse_directives(text)
+
+
+class TestErrorPositions:
+    @pytest.mark.parametrize("read, text, message", [
+        (parse_clauses, "p(a).\n" * 500 + "q(b c).",
+         "expected ')', got 'c' at line 501, column 5"),
+        (parse_clauses, "p(a).\n  q(#).", "unexpected character '#' at line 2, column 5"),
+        (parse_clauses, "p(a).\np(a", "unexpected end of input at line 2, column 4"),
+        (parse_clauses, "p(a).\nf(A):- g(h(A)).",
+         "nested compound term 'h'(...) is not supported at line 2, column 10"),
+        (parse_clauses, "p(a).\n% c\n  p(.).", "expected a term, got '.' at line 3, column 5"),
+        (parse_examples, "pos(f(a)).\n\npos(f(A)).",
+         "variable A where a ground value is expected at line 3, column 7"),
+        (parse_examples, "pos(f(a)).\n f(b).",
+         "unlabelled example f(b) and no default label at line 2, column 2"),
+        (parse_directives, "max_vars(5).\nmax_vars(]).", "expected a term, got ']' at line 2, column 10"),
+        (parse_ground_atom, "f(a) g", "trailing input after atom: 'f(a) g' at line 1, column 6"),
+    ], ids=["late_line", "character", "end", "nested", "comment", "variable",
+            "unlabelled", "directive", "trailing"])
+    def test_message_names_line_and_column(self, read, text, message):
+        with pytest.raises(ParseError) as err:
+            read(text)
+        assert str(err.value) == message
