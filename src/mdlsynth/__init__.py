@@ -6,7 +6,7 @@ and combines promising single rules into unions through an exact weighted
 selection solver.  Recursive programs are found by the enumeration itself.
 """
 
-from .combine import CombineResult, PromisingPool, decode, solve, to_wcnf
+from .combine import CombineResult, PromisingPool, decode, solve
 from .constrain import ConstraintStore, Kind, NoisyConstraint, derive
 from .evaluate import (
     BackgroundKnowledge,
@@ -29,12 +29,11 @@ from .logic import (
     format_rule,
     is_recursive,
     is_separable,
-    program_subsumes,
     prog_size,
     rule_size,
 )
 from .parsing import ParseError, parse_examples, parse_ground_atom, parse_rules
-from .search import SearchConfig, SearchStats, learn, loop_invariant_check
+from .search import SearchConfig, SearchStats, learn
 from .tasks import RunReport, Task, generate_task, inject_noise
 
 __version__ = "0.1.0"

@@ -18,10 +18,10 @@ which mirrors a weighted MaxSAT encoding: a selection variable p_r with
 soft clause (not p_r, weight size(r)), a coverage variable c_e per example
 with soft clauses (c_e, weight 1) for positives and (not c_e, weight 1)
 for negatives, hard clauses c_e -> OR p_r over coverers for positives and
-p_r -> c_e for each negative covered by r.  ``to_wcnf`` dumps that
-encoding; ``solve`` optimizes the same objective directly by depth-first
-branch and bound over the selection variables with bitset coverage and an
-admissible lower bound, so the returned cost is provably minimal.
+p_r -> c_e for each negative covered by r.  ``solve`` optimizes the same
+objective directly by depth-first branch and bound over the selection
+variables with bitset coverage and an admissible lower bound, so the
+returned cost is provably minimal.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "PoolEntry",
     "PromisingPool",
     "CombineResult",
-    "to_wcnf",
     "solve",
     "decode",
 ]
@@ -92,42 +91,6 @@ def _dominates(a: PoolEntry, b: PoolEntry) -> bool:
 class CombineResult:
     selected: tuple  # of PoolEntry
     cost: int
-
-
-def to_wcnf(pool: PromisingPool, examples: ExampleSet) -> str:
-    """Weighted-CNF text form: hard clauses carry the top weight.
-    Variables 1..n are selections p_r, then positives' c_e, then
-    negatives' c_e."""
-    entries = pool.entries
-    num_pos, num_neg = examples.num_pos, examples.num_neg
-    n = len(entries)
-    pvar = lambda i: i + 1
-    cpos = lambda e: n + e + 1
-    cneg = lambda e: n + num_pos + e + 1
-    soft = []
-    hard = []
-    for i, entry in enumerate(entries):
-        soft.append((entry.size, (-pvar(i),)))
-    for e in range(num_pos):
-        soft.append((1, (cpos(e),)))
-        coverers = [pvar(i) for i, en in enumerate(entries)
-                    if (en.cov.pos_mask >> e) & 1]
-        hard.append((-cpos(e), *coverers))
-    for e in range(num_neg):
-        soft.append((1, (-cneg(e),)))
-        for i, en in enumerate(entries):
-            if (en.cov.neg_mask >> e) & 1:
-                hard.append((-pvar(i), cneg(e)))
-    top = sum(w for w, _ in soft) + 1
-    nvars = n + num_pos + num_neg
-    lines = [f"c mdlsynth combine instance: {n} rules, "
-             f"{num_pos} pos, {num_neg} neg",
-             f"p wcnf {nvars} {len(hard) + len(soft)} {top}"]
-    for clause in hard:
-        lines.append(" ".join(map(str, (top, *clause, 0))))
-    for w, clause in soft:
-        lines.append(" ".join(map(str, (w, *clause, 0))))
-    return "\n".join(lines) + "\n"
 
 
 def solve(pool: PromisingPool, examples: ExampleSet, ub: int,

@@ -38,7 +38,6 @@ from .logic import (
     Hypothesis,
     Rule,
     clause_subsumes,
-    format_rule,
     prog_size,
     rule_size,
 )
@@ -217,11 +216,3 @@ class ConstraintStore:
         # h <= anchor: every anchor rule is subsumed by some rule of h
         union = set().union(*(self._related(r, Kind.GENERALISATION) for r in rules))
         return self._hit(Kind.GENERALISATION, union, size, union.issuperset)
-
-    def dump(self) -> str:
-        """One line per (kind, anchor), at its current bound."""
-        lines = []
-        for (kind, anchor), bound in self._bound.items():
-            rules = " ; ".join(sorted(format_rule(r) for r in anchor))
-            lines.append(f"{kind.value} {bound} {rules}")
-        return "\n".join(lines)

@@ -266,14 +266,3 @@ def clause_subsumes(c1: Rule, c2: Rule) -> bool:
         return False
 
     return rec(0, theta)
-
-
-def program_subsumes(h1: Hypothesis, h2: Hypothesis) -> bool:
-    """h1 subsumes h2 (h1 <= h2) iff every rule of h2 is clause-subsumed by
-    some rule of h1.  h2 is then a specialisation of h1, and h1 a
-    generalisation of h2."""
-    return all(any(clause_subsumes(c1, c2) for c1 in h1) for c2 in h2)
-
-
-def alpha_equivalent(r1: Rule, r2: Rule) -> bool:
-    return canonicalize(r1) == canonicalize(r2)

@@ -18,6 +18,11 @@ the empty one.  Each yielded program is tested:
 * every tested program contributes pruning constraints to the store that
   the generator consults.
 
+The space searched, the bias-induced space, is the empty program, the
+unions of any number of usable rules that call no target, built by
+combine (``max_rules`` does not bound them), and the recursive programs
+of at most ``max_rules`` usable rules, yielded by generate.
+
 The loop ends when the stratum size exceeds max_mdl, when the bias space
 is exhausted, or at the timeout, and returns the best hypothesis found.
 The timeout is one ``time.perf_counter()`` deadline.  Generate checks it
@@ -53,8 +58,7 @@ from .logic import (
     prog_size,
 )
 
-__all__ = ["SearchConfig", "SearchStats", "SearchState", "learn",
-           "loop_invariant_check", "print_program"]
+__all__ = ["SearchConfig", "SearchStats", "learn", "print_program"]
 
 
 @dataclass
@@ -63,7 +67,6 @@ class SearchConfig:
     enable_noisy_constraints: bool = True
     budget: EvalBudget = field(default_factory=EvalBudget)
     trace: bool = False
-    debug: bool = False
 
     def __post_init__(self):
         if not self.timeout > 0:  # also rejects NaN
@@ -101,34 +104,6 @@ class SearchStats:
             self.stage_max[stage] = dt
 
 
-@dataclass
-class SearchState:
-    """Loop snapshot for the debug invariant check."""
-
-    size: int
-    max_mdl: int
-    best: Hypothesis
-    best_cost: int
-    evaluator: Evaluator
-
-
-def loop_invariant_check(state: SearchState) -> bool:
-    """Asserts the Algorithm invariants; raises AssertionError naming the
-    violated one."""
-    assert state.size <= state.max_mdl + 1, \
-        f"stratum size {state.size} ran past max_mdl {state.max_mdl} + 1"
-    if state.best:
-        assert state.max_mdl == state.best_cost - 1, \
-            f"max_mdl {state.max_mdl} != best cost {state.best_cost} - 1"
-    else:
-        assert state.max_mdl in (state.best_cost, state.best_cost - 1), \
-            "initial max_mdl must equal the empty-hypothesis cost"
-    retested = mdl_cost(state.best, state.evaluator.test(state.best))
-    assert retested == state.best_cost, \
-        f"recorded best cost {state.best_cost} != re-tested {retested}"
-    return True
-
-
 def print_program(h: Hypothesis, cov: Coverage) -> None:
     """Prints ``h``, one rule a line, then a comment line with its
     coverage counts, size and MDL cost."""
@@ -142,7 +117,9 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
           config: SearchConfig | None = None):
     """Search for a minimum-MDL-cost hypothesis.  Returns (hypothesis,
     stats).  On natural termination the result cost is minimal over the
-    bias-induced space; on timeout it is the best found so far."""
+    bias-induced space: unions of any number of usable rules that call no
+    target, from combine, and recursive programs of at most ``max_rules``
+    rules, from generate.  On timeout it is the best found so far."""
     config = config or SearchConfig()
     _validate(bk, examples, bias)
     t0 = time.perf_counter()
@@ -222,9 +199,6 @@ def learn(bk: BackgroundKnowledge, examples: ExampleSet, bias: Bias,
                 for c in cons:
                     if store.add(c):
                         stats.constraints_derived += 1
-            if config.debug:
-                loop_invariant_check(SearchState(
-                    size, max_mdl, best, best_cost, ev))
         stats.completed = True
     except SearchTimeout:
         stats.timed_out = True

@@ -1,5 +1,6 @@
 """Shared generators for randomized tests: tiny datalog tasks, random rules
-and hypotheses over small signatures."""
+and hypotheses over small signatures; and whole-program subsumption, built
+on the package's clause subsumption."""
 
 from __future__ import annotations
 
@@ -8,11 +9,18 @@ from itertools import product
 
 from mdlsynth.evaluate import BackgroundKnowledge, ExampleSet
 from mdlsynth.generate import Bias
-from mdlsynth.logic import Literal, Rule, Var, canonicalize
+from mdlsynth.logic import Hypothesis, Literal, Rule, Var, canonicalize, clause_subsumes
 
 from .oracles import _naive_connected
 
 CONSTS = ("c0", "c1", "c2")
+
+
+def program_subsumes(h1: Hypothesis, h2: Hypothesis) -> bool:
+    """h1 subsumes h2 (h1 <= h2) iff every rule of h2 is clause-subsumed by
+    some rule of h1.  h2 is then a specialisation of h1, and h1 a
+    generalisation of h2."""
+    return all(any(clause_subsumes(c1, c2) for c1 in h1) for c2 in h2)
 
 
 def random_rule(rng: random.Random, preds=None, max_body=3, max_vars=3,
@@ -79,6 +87,27 @@ def tiny_task(rng: random.Random, allow_recursion=None):
         pos = [atoms[0]]
     bk = BackgroundKnowledge(facts=facts)
     return bk, ExampleSet(tuple(pos), tuple(neg)), bias, CONSTS
+
+
+def union_task(rng: random.Random):
+    """A random builtin-free task whose optimum is sometimes a union of more
+    than ``max_rules`` rules: each of 9 to 12 constants holds one main
+    predicate among p, q, r and s, and each other one with probability 0.1;
+    each f atom is positive with probability 0.85, otherwise negative.
+
+    Returns (bk, examples, bias, constants)."""
+    preds = ("p", "q", "r", "s")
+    consts = tuple(f"c{i}" for i in range(rng.randint(9, 12)))
+    facts = []
+    for c in consts:
+        main = rng.choice(preds)
+        facts += [Literal(p, (c,)) for p in preds if p == main or rng.random() < 0.1]
+    atoms = [Literal("f", (c,)) for c in consts]
+    pos = tuple(a for a in atoms if rng.random() < 0.85)
+    neg = tuple(a for a in atoms if a not in pos)
+    bias = Bias(targets=[("f", 1)], body_preds=[(p, 1) for p in preds],
+                max_vars=1, max_body=2, max_rules=2)
+    return BackgroundKnowledge(facts=facts), ExampleSet(pos, neg), bias, consts
 
 
 def richer_tiny_task(rng: random.Random, allow_recursion=None, n_examples=10):

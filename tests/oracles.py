@@ -234,11 +234,16 @@ def naive_enumerate_rules(bias, rule_size: int) -> set:
     """All rules of the bias space with exactly rule_size literals, as a set
     of permutation-minimal canonical keys (independent of the package's
     canonicalizer)."""
+    return set(_naive_rules(bias, rule_size))
+
+
+def _naive_rules(bias, rule_size: int) -> dict:
+    """One rule per key of ``naive_enumerate_rules``, keyed by it."""
     k = rule_size - 1
     if k < 1 or k > bias.max_body:
-        return set()
+        return {}
     templates = _naive_templates(bias)
-    out = set()
+    out = {}
     for name, arity in bias.targets:
         head = Literal(name, tuple(Var(i) for i in range(arity)))
         for combo in combinations(templates, k):
@@ -248,7 +253,8 @@ def naive_enumerate_rules(bias, rule_size: int) -> set:
                 continue
             if not _naive_types_ok(bias, head, combo):
                 continue
-            out.add(brute_canonical_key(Rule(head, frozenset(combo))))
+            rule = Rule(head, frozenset(combo))
+            out.setdefault(brute_canonical_key(rule), rule)
     return out
 
 
@@ -399,57 +405,48 @@ def naive_has_base_case(h, targets) -> bool:
 # Exhaustive optima
 # ---------------------------------------------------------------------------
 
-def exhaustive_space(bias, max_program_size=None, modes=None):
-    """Every hypothesis of the bias space (up to max_rules rules), via the
-    package enumerator's pools being regenerated here naively.  A rule
-    enters only when ``naive_usable`` under ``modes`` (none: every
-    predicate binds all its arguments)."""
-    from mdlsynth.logic import canonicalize
+def exhaustive_space(bias, max_size, modes=None):
+    """Every program of size at most ``max_size`` in the space that
+    ``search.learn`` searches: the empty program, each union of any number
+    of usable rules that call no target, and each program of at most
+    ``max_rules`` usable rules and of size at most ``bias.max_program_size``.
+    The rules are regenerated here naively.  A rule is usable when
+    ``naive_usable`` holds under ``modes`` (none: every predicate binds all
+    its arguments)."""
+    from mdlsynth.logic import canonicalize, prog_size, rule_size
 
-    max_program_size = max_program_size or bias.max_program_size
-    modes = modes or {}
     targets = set(bias.targets)
-    rules = []
-    for size in range(2, bias.max_rule_size + 1):
-        templates = _naive_templates(bias)
-        k = size - 1
-        seen = set()
-        for name, arity in bias.targets:
-            head = Literal(name, tuple(Var(i) for i in range(arity)))
-            for combo in combinations(templates, k):
-                if head in combo:
-                    continue
-                if not _naive_connected(head, combo):
-                    continue
-                if not _naive_types_ok(bias, head, combo):
-                    continue
-                key = brute_canonical_key(Rule(head, frozenset(combo)))
-                if key in seen:
-                    continue
-                seen.add(key)
-                if not naive_usable(Rule(head, frozenset(combo)), targets, modes):
-                    continue
-                rules.append(canonicalize(Rule(head, frozenset(combo))))
-    space = [frozenset()]
-    for r in rules:
-        space.append(frozenset((r,)))
-    if bias.max_rules >= 2:
-        for i in range(len(rules)):
-            for j in range(i + 1, len(rules)):
-                h = frozenset((rules[i], rules[j]))
-                from mdlsynth.logic import prog_size
-                if prog_size(h) <= max_program_size:
-                    space.append(h)
-    return space
+    rules = [canonicalize(r) for size in range(2, bias.max_rule_size + 1)
+             for r in _naive_rules(bias, size).values()
+             if naive_usable(r, targets, modes or {})]
+    plain = [r for r in rules
+             if not any((b.pred, len(b.args)) in targets for b in r.body)]
+    space = {}  # a dict keeps the first-found order
+
+    def unions(start, h, size):
+        space[h] = None
+        for i in range(start, len(plain)):
+            grown = size + rule_size(plain[i])
+            if grown <= max_size:
+                unions(i + 1, h | {plain[i]}, grown)
+
+    unions(0, frozenset(), 0)
+    cap = min(max_size, bias.max_program_size)
+    for n in range(1, bias.max_rules + 1):
+        for combo in combinations(rules, n):
+            if prog_size(combo) <= cap:
+                space[frozenset(combo)] = None
+    return list(space)
 
 
 def exhaustive_min_cost(bias, bk_facts, bk_rules, examples, constants):
-    """Minimum MDL cost over the whole hypothesis space, by fixpoint
-    evaluation."""
+    """Minimum MDL cost over the space that ``search.learn`` searches, by
+    fixpoint evaluation.  Cost is at least size, so no program of size
+    |E+| or more beats the empty one, whose cost is |E+|."""
     from mdlsynth.logic import prog_size
 
     best = examples.num_pos  # the empty hypothesis
-    for h in sorted(exhaustive_space(bias), key=prog_size):
+    for h in sorted(exhaustive_space(bias, examples.num_pos - 1), key=prog_size):
         if prog_size(h) >= best:
             break  # cost is at least size
         pos, neg = fixpoint_coverage(bk_facts, bk_rules, h, examples, constants)

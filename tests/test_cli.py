@@ -54,6 +54,26 @@ def _learn_args(task_dir):
             "--neg", str(task_dir / "train_neg.pl")]
 
 
+def test_no_noisy_constraints_reaches_the_same_cost(tmp_path):
+    # without pruning constraints the search tests at least as many
+    # programs and ends at the same minimum
+    task_dir = tmp_path / "zendo1"
+    assert main(["gen-task", "--family", "zendo1", "--n", "20",
+                 "--out", str(task_dir)]) == 0
+    reports = []
+    for flags in ([], ["--no-noisy-constraints"]):
+        report = tmp_path / f"report{len(reports)}.json"
+        assert main(_learn_args(task_dir) + flags + [
+            "--timeout", "60", "--report", str(report)]) == 0
+        reports.append(json.loads(report.read_text()))
+    on, off = reports
+    assert on["config"]["noisy_constraints"] is True
+    assert off["config"]["noisy_constraints"] is False
+    assert on["stats"]["completed"] and off["stats"]["completed"]
+    assert off["train_cost"] == on["train_cost"]
+    assert off["stats"]["programs_tested"] >= on["stats"]["programs_tested"]
+
+
 def test_trace_prints_the_run_record(tmp_path, capsys):
     task_dir = tmp_path / "zendo1"
     assert main(["gen-task", "--family", "zendo1", "--n", "20",

@@ -8,7 +8,6 @@ from mdlsynth.combine import (
     PromisingPool,
     decode,
     solve,
-    to_wcnf,
 )
 from mdlsynth.evaluate import Coverage, ExampleSet, SearchTimeout
 from mdlsynth.parsing import parse_ground_atom, parse_rules
@@ -276,79 +275,3 @@ class TestDecode:
         res = solve(pool, ex, ub=3)
         assert res is not None and res.cost == 2
         assert decode(res) == frozenset((r,))
-
-
-class TestInstanceDump:
-    def test_wcnf_shape(self):
-        pool = PromisingPool()
-        pool.add(rule("f(A):- p(A)."), entry_cov(0b01, 0b1, 2, 1))
-        pool.add(rule("f(A):- q(A)."), entry_cov(0b10, 0b0, 2, 1))
-        ex = ExampleSet(
-            (parse_ground_atom("f(0)"), parse_ground_atom("f(1)")),
-            (parse_ground_atom("f(9)"),),
-        )
-        text = to_wcnf(pool, ex)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("c ")
-        header = lines[1].split()
-        assert header[:2] == ["p", "wcnf"]
-        nvars, nclauses, top = int(header[2]), int(header[3]), int(header[4])
-        assert nvars == 2 + 2 + 1
-        body = lines[2:]
-        assert len(body) == nclauses
-        # hard clauses carry the top weight; soft weights are below it
-        hard = [l for l in body if l.startswith(f"{top} ")]
-        # one per positive example, one per (negative, coverer) pair
-        assert len(hard) == 2 + 1
-        for l in body:
-            assert l.split()[-1] == "0"
-
-    def test_soft_weights_sum(self):
-        pool = PromisingPool()
-        pool.add(rule("f(A):- p(A)."), entry_cov(0b1, 0, 1, 1))
-        ex = ExampleSet((parse_ground_atom("f(0)"),), (parse_ground_atom("f(9)"),))
-        text = to_wcnf(pool, ex)
-        top = int(text.splitlines()[1].split()[4])
-        # soft total: size 2 + one pos + one neg = 4, so top = 5
-        assert top == 5
-
-    def test_wcnf_optimum_equals_solve(self):
-        # brute force over every assignment of the dumped encoding: the
-        # hard clauses must hold, and the cost is the weight of the
-        # violated soft clauses.  The cheapest assignment that extends a
-        # selection of rules must cost the selection's objective, and the
-        # minimum must be solve's cost.
-        rng = random.Random(79)
-        for trial in range(150):
-            npos, nneg = rng.randint(1, 4), rng.randint(0, 3)
-            pool = random_pool(rng, rng.randint(0, 4), npos, nneg)
-            ex = ExampleSet(
-                tuple(parse_ground_atom(f"f({i})") for i in range(npos)),
-                tuple(parse_ground_atom(f"f({100 + i})") for i in range(nneg)),
-            )
-            lines = to_wcnf(pool, ex).splitlines()
-            nvars, _, top = map(int, lines[1].split()[2:])
-            clauses = [list(map(int, l.split())) for l in lines[2:]]
-            assert all(c[-1] == 0 for c in clauses)
-            n = len(pool)
-            best = {}  # selection bits -> cheapest assignment extending it
-            for bits in range(1 << nvars):
-                def holds(lits):
-                    return any(((bits >> (abs(v) - 1)) & 1) == (v > 0)
-                               for v in lits)
-                if not all(holds(c[1:-1]) for c in clauses if c[0] == top):
-                    continue
-                cost = sum(c[0] for c in clauses
-                           if c[0] < top and not holds(c[1:-1]))
-                sel = bits & ((1 << n) - 1)
-                best[sel] = min(best.get(sel, cost), cost)
-            for sel in range(1 << n):
-                pos = neg = ssum = 0
-                for i, e in enumerate(pool.entries):
-                    if (sel >> i) & 1:
-                        pos |= e.cov.pos_mask
-                        neg |= e.cov.neg_mask
-                        ssum += e.size
-                want = ssum + (npos - pos.bit_count()) + neg.bit_count()
-                assert best[sel] == want, (trial, sel)
-            assert min(best.values()) == solve(pool, ex, npos).cost, trial

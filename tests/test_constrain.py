@@ -118,15 +118,6 @@ class TestStore:
         spec = prog("f(A):- head(A,1),tail(A,B),tail(B,C).")  # size 4
         assert store.violates(spec, prog_size(spec))
 
-    def test_dump_format(self):
-        store = ConstraintStore()
-        store.add(NoisyConstraint(Kind.SPECIALISATION, H, 5))
-        store.add(NoisyConstraint(Kind.GENERALISATION, H, 4))
-        store.add(NoisyConstraint(Kind.SPECIALISATION, H, 3))
-        # one line per (kind, anchor), at its current bound
-        assert store.dump().splitlines() == ["spec 3 f(A):- head(A,1).",
-                                             "gen 4 f(A):- head(A,1)."]
-
     def test_program_at_bound_never_pruned(self):
         store = ConstraintStore()
         store.add(NoisyConstraint(Kind.SPECIALISATION, H, prog_size(H)))
@@ -154,5 +145,5 @@ class TestStore:
                     while len(h) < n:
                         h.add(connected_random_rule(rng))
                     h = frozenset(h)
-                    assert store.violates(h, prog_size(h)), (r, h, store.dump())
+                    assert store.violates(h, prog_size(h)), (r, h)
         assert hits >= 100

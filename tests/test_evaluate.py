@@ -20,12 +20,12 @@ from mdlsynth.evaluate import (
     mode_closure,
 )
 from mdlsynth.generate import GeneratorState, usable
-from mdlsynth.logic import Literal, Rule, Var, is_recursive, program_subsumes, prog_size
+from mdlsynth.logic import Literal, Rule, Var, is_recursive, prog_size
 from mdlsynth.parsing import parse_ground_atom, parse_rules
 
 from mdlsynth.tasks import _GT, generate_task
 
-from .helpers import random_hypothesis, tiny_task
+from .helpers import program_subsumes, random_hypothesis, tiny_task
 from .oracles import (
     OracleGaveUp,
     fixpoint_coverage,

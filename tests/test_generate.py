@@ -22,11 +22,12 @@ from mdlsynth.generate import (
     enumerate_rules,
     usable,
 )
-from mdlsynth.logic import Literal, Rule, canonicalize, prog_size, program_subsumes
+from mdlsynth.logic import Literal, Rule, canonicalize, prog_size
 from mdlsynth.parsing import parse_rules
 from mdlsynth.search import SearchConfig, learn
 from mdlsynth.tasks import _BIAS, _GT, FAMILIES, generate_task
 
+from .helpers import program_subsumes
 from .oracles import (
     brute_canonical_key,
     exhaustive_space,

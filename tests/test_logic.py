@@ -6,17 +6,15 @@ from mdlsynth.logic import (
     Literal,
     Rule,
     Var,
-    alpha_equivalent,
     canonicalize,
     clause_subsumes,
     is_recursive,
     is_separable,
-    program_subsumes,
     prog_size,
 )
 from mdlsynth.parsing import parse_rules
 
-from .helpers import random_hypothesis, random_rule
+from .helpers import program_subsumes, random_hypothesis, random_rule
 from .oracles import brute_alpha_equivalent, brute_clause_subsumes, brute_program_subsumes
 
 

@@ -15,11 +15,11 @@ from mdlsynth.evaluate import BackgroundKnowledge, EvalBudget, Evaluator, Exampl
 from mdlsynth.generate import Bias
 from mdlsynth.logic import Literal, is_recursive, prog_size
 from mdlsynth.parsing import parse_ground_atom, parse_rules
-from mdlsynth.search import SearchConfig, SearchState, learn, loop_invariant_check
+from mdlsynth.search import SearchConfig, learn
 from mdlsynth.tasks import generate_task
 
-from .helpers import tiny_task
-from .oracles import exhaustive_min_cost, naive_has_base_case
+from .helpers import tiny_task, union_task
+from .oracles import exhaustive_min_cost, exhaustive_space, fixpoint_coverage, naive_has_base_case
 
 
 def prog(text):
@@ -28,6 +28,12 @@ def prog(text):
 
 def atom(text):
     return parse_ground_atom(text)
+
+
+def fixpoint_cost(bk, ex, h, consts):
+    """The MDL cost of ``h`` on ``ex``, by fixpoint evaluation."""
+    pos, neg = fixpoint_coverage(bk.facts, bk.rules, h, ex, consts)
+    return prog_size(h) + ex.num_pos - pos.bit_count() + neg.bit_count()
 
 
 class TestLearnBasics:
@@ -190,6 +196,8 @@ class TestOracleEquality:
             # and the returned hypothesis really has that cost
             ev = Evaluator(bk, ex)
             assert mdl_cost(h, ev.test(h)) == stats.best_cost
+            assert fixpoint_cost(bk, ex, h, consts) == stats.best_cost
+            assert stats.trajectory[-1][1] == stats.best_cost
 
     def test_learn_matches_exhaustive_minimum_on_recursive_optimum(self):
         # reachability along the chain a->b->c->d->e: only a base rule plus
@@ -230,13 +238,50 @@ class TestOracleEquality:
                         tuple(atom(f"f({c})") for c in neg.split()))
         bias = Bias(targets=[("f", 1)], body_preds=[("p", 1), ("r", 1)],
                     max_vars=2, max_body=2, max_rules=2)
-        # debug re-tests the union combine returns once it becomes best
-        h, stats = learn(bk, ex, bias, SearchConfig(timeout=30, debug=True))
+        h, stats = learn(bk, ex, bias, SearchConfig(timeout=30))
         assert stats.completed
         assert stats.best_cost == cost == exhaustive_min_cost(
             bias, bk.facts, bk.rules, ex, consts)
         assert h == prog("f(A):- p(A).  f(A):- r(A).")
         assert stats.combine_calls > 0
+        # the union combine returns, re-tested from first principles
+        assert fixpoint_cost(bk, ex, h, consts) == stats.best_cost
+        assert stats.trajectory[-1][1] == stats.best_cost
+
+    def test_learn_matches_exhaustive_minimum_on_union_past_max_rules(self):
+        # p, q and r each hold on three of nine positives: the union of the
+        # three rules costs 6, and any two of them cost 7.  Combine's unions
+        # are not bounded by max_rules, so the union is in the space
+        consts = tuple(f"c{i}" for i in range(9))
+        facts = [Literal("pqr"[i // 3], (c,)) for i, c in enumerate(consts)]
+        bk = BackgroundKnowledge(facts=facts)
+        ex = ExampleSet(tuple(atom(f"f({c})") for c in consts), ())
+        bias = Bias(targets=[("f", 1)],
+                    body_preds=[("p", 1), ("q", 1), ("r", 1)],
+                    max_vars=1, max_body=1, max_rules=2)
+        h, stats = learn(bk, ex, bias, SearchConfig(timeout=30))
+        assert stats.completed
+        assert h == prog("f(A):- p(A).  f(A):- q(A).  f(A):- r(A).")
+        assert stats.best_cost == 6 == exhaustive_min_cost(
+            bias, bk.facts, bk.rules, ex, consts)
+        assert fixpoint_cost(bk, ex, h, consts) == stats.best_cost
+
+    def test_learn_matches_exhaustive_minimum_on_union_tasks(self):
+        rng = random.Random(7)
+        past_max_rules = 0
+        for trial in range(150):
+            bk, ex, bias, consts = union_task(rng)
+            h, stats = learn(bk, ex, bias, SearchConfig(timeout=30))
+            assert stats.completed
+            want = exhaustive_min_cost(bias, bk.facts, bk.rules, ex, consts)
+            assert stats.best_cost == want, (trial, h)
+            assert fixpoint_cost(bk, ex, h, consts) == stats.best_cost
+            narrow = min(fixpoint_cost(bk, ex, g, consts)
+                         for g in exhaustive_space(bias, ex.num_pos - 1)
+                         if len(g) <= bias.max_rules)
+            past_max_rules += narrow > want
+        # some draws need more than max_rules rules
+        assert past_max_rules > 0
 
     def test_constraints_do_not_change_the_result(self):
         rng = random.Random(89)
@@ -369,49 +414,6 @@ class TestProofShortcuts:
         assert stats_off.proofs_skipped == 0
         assert tested == tested_off
         assert (h, stats.best_cost) == (h_off, stats_off.best_cost)
-
-
-class TestInvariantCheck:
-    def test_initial_state_passes(self):
-        bk = BackgroundKnowledge()
-        ex = ExampleSet((atom("f(a)"), atom("f(b)")), ())
-        ev = Evaluator(bk, ex)
-        state = SearchState(size=2, max_mdl=2, best=frozenset(),
-                            best_cost=2, evaluator=ev)
-        assert loop_invariant_check(state)
-
-    def test_post_update_relation_enforced(self):
-        bk = BackgroundKnowledge(
-            facts=[Literal("p", ("a",)), Literal("p", ("b",))])
-        ex = ExampleSet((atom("f(a)"), atom("f(b)")), ())
-        ev = Evaluator(bk, ex)
-        best = prog("f(A):- p(A).")
-        good = SearchState(size=2, max_mdl=1, best=best, best_cost=2,
-                           evaluator=ev)
-        assert loop_invariant_check(good)
-        bad = SearchState(size=2, max_mdl=2, best=best, best_cost=2,
-                          evaluator=ev)
-        with pytest.raises(AssertionError):
-            loop_invariant_check(bad)
-
-    def test_recorded_cost_must_match_retest(self):
-        bk = BackgroundKnowledge(
-            facts=[Literal("p", ("a",)), Literal("p", ("b",))])
-        ex = ExampleSet((atom("f(a)"), atom("f(b)")), ())
-        ev = Evaluator(bk, ex)
-        best = prog("f(A):- p(A).")
-        bad = SearchState(size=2, max_mdl=4, best=best, best_cost=5,
-                          evaluator=ev)
-        with pytest.raises(AssertionError):
-            loop_invariant_check(bad)
-
-    def test_debug_mode_runs_check_in_loop(self):
-        bk = BackgroundKnowledge(
-            facts=[Literal("p", ("a",)), Literal("p", ("b",))])
-        bias = Bias(targets=[("f", 1)], body_preds=[("p", 1)],
-                    max_vars=2, max_body=2, max_rules=1)
-        ex = ExampleSet((atom("f(a)"), atom("f(b)")), ())
-        learn(bk, ex, bias, SearchConfig(timeout=10, debug=True))
 
 
 class TestTimeout:
