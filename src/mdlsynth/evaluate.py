@@ -9,9 +9,9 @@ The decision procedure is top-down SLD-style resolution with:
 * memoization of ground calls (successes globally, failures per remaining
   depth): a ground goal is resolved on its own, with nothing left to solve,
   and only then is its continuation run,
-* an iterative-deepening depth bound and a per-example inference-step budget
-  (exhaustion counts as non-coverage and is tallied, never raised to the
-  caller),
+* one proof per example, bounded in depth and charged against a
+  per-example inference-step budget (exhaustion counts as non-coverage and
+  is tallied, never raised to the caller),
 * the list and arithmetic built-ins of ``BUILTINS``, each run in the first
   of its modes whose inputs are bound.  A built-in with no such mode is
   deferred until other goals have bound more variables; if no goal can
@@ -111,6 +111,10 @@ def check_deadline(deadline: float) -> None:
 
 @dataclass(frozen=True)
 class EvalBudget:
+    """The bounds on the one proof of an example: ``max_depth`` nested
+    clause resolutions, and ``max_steps`` resolution steps (one per selected
+    goal), exactly the number of steps that one example may be charged."""
+
     max_depth: int = 30
     max_steps: int = 1_000_000
 
@@ -121,11 +125,6 @@ class EvalBudget:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, "
                                  f"got {getattr(self, name)}")
-
-    def depth_schedule(self):
-        if self.max_depth > 8:
-            return (8, self.max_depth)
-        return (self.max_depth,)
 
 
 @dataclass(frozen=True)
@@ -538,30 +537,24 @@ class Evaluator:
         # the example's arguments are their own environment
         key = (example.pred, len(example.args))
         goal = ((key, self._dispatch(key, prog), range(len(example.args))), example.args)
-        max_steps = self.budget.max_steps
-        for depth in self.budget.depth_schedule():
-            # [countdown to the next check, steps held in reserve]
-            first = min(_CHECK_EVERY, max_steps)
-            steps = [first, max_steps - first]
-            try:
-                if self._solve(prog, (goal,), depth, [], succ, fail, steps):
-                    return True
-            except _Budget:
-                self.budget_exhausted += 1
-                return False
-        return False
+        # [countdown to the next check, steps held in reserve]
+        first = min(_CHECK_EVERY, self.budget.max_steps)
+        steps = [first, self.budget.max_steps - first]
+        try:
+            return self._solve(prog, (goal,), self.budget.max_depth, [], succ, fail, steps)
+        except _Budget:
+            self.budget_exhausted += 1
+            return False
 
     def _solve(self, prog, goals, depth, trail, succ, fail, steps) -> bool:
         if not goals:
             return True
-        steps[0] -= 1
-        if steps[0] <= 0:
+        if not steps[0]:
             self._check(steps)
+        steps[0] -= 1
         # select the first ready goal: a resolved goal is always ready, a
         # built-in once the "+" positions of one of its modes are bound
         for i, ((key, run, codes), env) in enumerate(goals):
-            if run is None:
-                break
             walked = []
             bound = 0  # bit j set when argument j is bound
             bit = 1
@@ -576,6 +569,8 @@ class Evaluator:
                     bound |= bit
                 walked.append(a)
                 bit += bit
+            if run is None:
+                break
             fn = run[bound]
             if fn is not None:
                 break
@@ -608,20 +603,8 @@ class Evaluator:
             self._undo(trail, mark)
             return False
 
-        # a resolved goal needs no bitmask, only whether it is ground
-        ground = True
-        walked = []
-        for j in codes:
-            a = env[j]
-            while type(a) is _FVar:
-                r = a.ref
-                if r is None:
-                    ground = False
-                    break
-                a = r
-            walked.append(a)
         walked = tuple(walked)
-        if not ground:
+        if bound != bit - 1:  # some argument is free
             return self._resolve(prog, key, walked, rest, depth, trail, succ, fail, steps)
         # a ground goal is proven in isolation: no bindings escape, so
         # success/failure can be memoized independently of the continuation

@@ -290,6 +290,39 @@ class TestBudget:
         # stays inside the budget; only the whole program runs out, once
         assert ev.budget_exhausted == 1
 
+    @pytest.mark.parametrize("background, h, example, covered", [
+        ("p(a). q(a).", "f(A):- p(A),q(A).", "f(a)", True),
+        ("p(a). p(b). q(a).", "f(A):- p(A),q(A).", "f(b)", False),
+        # its odd element is its 21st, past the reach of a proof bounded at depth 8
+        ("", _GT["evens"], f"evens([{'2,' * 20}1])", False),
+        # 8,000 chains, so the countdown runs down and restarts
+        (" ".join(f"q({a},{b})." for a in range(20) for b in range(20)),
+         "f(A):- q(A,B),q(B,C),q(C,D),q(D,x).", "f(0)", False),
+    ], ids=["proof", "failure", "recursive failure", "long failure"])
+    def test_one_proof_per_example_charged_at_most_max_steps(
+            self, background, h, example, covered):
+        bk = BackgroundKnowledge.from_source(background)
+        h, example = prog(h), atom(example)
+        ex = ExampleSet((), ())
+        # k steps, counted as tests.search_record counts them, over the
+        # proofs run, each of which starts with a fresh trail
+        ev = Evaluator(bk, ex)
+        solve, steps, trails = ev._solve, [0], {}
+
+        def counting_solve(prog, goals, depth, trail, *args):
+            steps[0] += bool(goals)
+            trails[id(trail)] = trail  # held, so no id is reused
+            return solve(prog, goals, depth, trail, *args)
+
+        ev._solve = counting_solve
+        assert (ev.covers(h, example), len(trails)) == (covered, 1)
+        k = steps[0]
+        ev = Evaluator(bk, ex, EvalBudget(max_steps=k))
+        assert ev.covers(h, example) == covered and ev.budget_exhausted == 0
+        ev = Evaluator(bk, ex, EvalBudget(max_steps=k - 1))
+        assert not ev.covers(h, example) and ev.budget_exhausted == 1
+        assert not hasattr(EvalBudget, "depth_schedule")
+
     def test_recursive_program_proves_only_uncovered_examples(self):
         bk = BackgroundKnowledge()
         ex = ExampleSet((atom("f([0,1])"), atom("f([1,0])"), atom("f([1,1])")), ())

@@ -18,6 +18,7 @@ from mdlsynth.parsing import parse_ground_atom, parse_rules
 from mdlsynth.search import SearchConfig, learn
 from mdlsynth.tasks import generate_task
 
+from . import search_record
 from .helpers import tiny_task, union_task
 from .oracles import exhaustive_min_cost, exhaustive_space, fixpoint_coverage, naive_has_base_case
 
@@ -414,6 +415,26 @@ class TestProofShortcuts:
         assert stats_off.proofs_skipped == 0
         assert tested == tested_off
         assert (h, stats.best_cost) == (h_off, stats_off.best_cost)
+
+
+class TestSameSearch:
+    # the digest of every test (program, masks, budget exhaustions) of four
+    # small searches.  A change to the evaluator or the search that should
+    # leave the search alone has to leave these alone; the resolution steps
+    # are not pinned, so proving the same coverages with less work passes
+    @pytest.mark.parametrize("family, n, noise, max_tests, sha256, tests", [
+        ("evens", 50, 0.0, None,
+         "ca2470b1fdf2e4c1fb8cb029183d7dee80f5f72dcc851cbbe11bad2804550409", 51),
+        ("zendo1", 20, 0.0, None,
+         "1704c1a0ca9675284d49165a286367674a34aa9d2b7057d5d804d7c7d7a24ced", 71),
+        ("sorted", 10, 0.0, None,
+         "d5bdf1d74381065f0102125ae480b1b700d511f8211d3111141866864aaa153d", 39),
+        ("dropk", 30, 0.1, 100,
+         "d729536b57756b401a904687f26eed2ad4b6fc6718ff23e119d77608ce467e6b", 100),
+    ])
+    def test_digest_is_pinned(self, family, n, noise, max_tests, sha256, tests):
+        _, summary = search_record.record(family, n, noise, max_tests=max_tests)
+        assert (summary["sha256"], summary["tests"]) == (sha256, tests)
 
 
 class TestTimeout:
